@@ -7,8 +7,10 @@
 //!   running a deterministic mix of `BestForPrivacy` point queries,
 //!   `Ingest` record batches, and `Estimate` reconstructions, once over
 //!   framed JSON and once over the `OPTRR-WIRE v1` binary codec. Reports
-//!   q/s, ingest records/s, and p50/p95/p99 round-trip latency per
-//!   codec, plus the binary-over-JSON ratios on the hot verbs.
+//!   q/s and p50/p95/p99 round-trip latency per codec, plus the
+//!   binary-over-JSON q/s ratio. The per-verb figures (`mixed_run_*`) are
+//!   each verb's fixed count over the *mixed* run's wall clock, not
+//!   single-verb runs, so they all share that one ratio.
 //! * **Connection churn** — short-lived sessions (connect, one round
 //!   trip, disconnect) hammering the accept loop; reports sessions/s.
 //! * **Codec microbench** — encode+decode cost and wire size of the hot
@@ -54,14 +56,17 @@ struct NetBaseline {
     requests_per_connection: usize,
     max_active_connections: u64,
     codec_runs: Vec<CodecRun>,
-    binary_over_json_query_qps: f64,
-    binary_over_json_ingest_records: f64,
+    /// Binary q/s over JSON q/s on the mixed run. Every verb's count is
+    /// fixed, so this is also the ratio of each `mixed_run_*` figure.
+    binary_over_json_mixed_qps: f64,
     churn: ChurnRow,
     codec_micro: Vec<MicroRow>,
     snapshot_identical: bool,
 }
 
-/// One codec's mixed-verb run over the full connection fleet.
+/// One codec's mixed-verb run over the full connection fleet. The
+/// `mixed_run_*` rates divide one verb's fixed count by the whole mixed
+/// run's wall clock: shares of `qps`, not per-verb throughput.
 #[derive(Serialize)]
 struct CodecRun {
     codec: String,
@@ -70,12 +75,12 @@ struct CodecRun {
     wall_seconds: f64,
     qps: f64,
     query_count: u64,
-    query_qps: f64,
+    mixed_run_query_qps: f64,
     ingest_count: u64,
     ingest_records_total: u64,
-    ingest_records_per_sec: f64,
+    mixed_run_ingest_records_per_sec: f64,
     estimate_count: u64,
-    estimate_qps: f64,
+    mixed_run_estimate_qps: f64,
     latency_p50_ns: u64,
     latency_p95_ns: u64,
     latency_p99_ns: u64,
@@ -244,12 +249,12 @@ fn run_codec_load(
             wall_seconds,
             qps: requests_total as f64 / wall_seconds,
             query_count: queries,
-            query_qps: queries as f64 / wall_seconds,
+            mixed_run_query_qps: queries as f64 / wall_seconds,
             ingest_count: ingests,
             ingest_records_total: ingest_records,
-            ingest_records_per_sec: ingest_records as f64 / wall_seconds,
+            mixed_run_ingest_records_per_sec: ingest_records as f64 / wall_seconds,
             estimate_count: estimates,
-            estimate_qps: estimates as f64 / wall_seconds,
+            mixed_run_estimate_qps: estimates as f64 / wall_seconds,
             latency_p50_ns: percentile(&latencies, 0.50),
             latency_p95_ns: percentile(&latencies, 0.95),
             latency_p99_ns: percentile(&latencies, 0.99),
@@ -486,18 +491,17 @@ fn report() {
         }
     };
     println!(
-        "perf-delta: net {} conns binary-over-json query {:.2}x, ingest records {:.2}x",
+        "perf-delta: net {} conns binary-over-json mixed-run q/s {:.2}x",
         int(&baseline, "connections"),
-        num(&baseline, "binary_over_json_query_qps"),
-        num(&baseline, "binary_over_json_ingest_records"),
+        num(&baseline, "binary_over_json_mixed_qps"),
     );
     if let Some(runs) = baseline.get("codec_runs").and_then(Value::as_array) {
         for run in runs {
             println!(
-                "perf-delta: net {} {:.0} q/s ({:.0} records/s ingest), p50 {} ns, p99 {} ns",
+                "perf-delta: net {} {:.0} q/s mixed run ({:.0} ingest records/s of it), p50 {} ns, p99 {} ns",
                 run.get("codec").and_then(Value::as_str).unwrap_or("?"),
                 num(run, "qps"),
-                num(run, "ingest_records_per_sec"),
+                num(run, "mixed_run_ingest_records_per_sec"),
                 int(run, "latency_p50_ns"),
                 int(run, "latency_p99_ns"),
             );
@@ -542,12 +546,12 @@ fn main() {
         let (run, active) =
             run_codec_load(&addr, codec, connections, requests_per_connection, &server);
         println!(
-            "{} x{}: {:.0} q/s total ({:.0} query q/s, {:.0} ingest records/s), p50 {} ns, p99 {} ns",
+            "{} x{}: {:.0} q/s mixed run (of it {:.0} query q/s, {:.0} ingest records/s), p50 {} ns, p99 {} ns",
             run.codec,
             run.connections,
             run.qps,
-            run.query_qps,
-            run.ingest_records_per_sec,
+            run.mixed_run_query_qps,
+            run.mixed_run_ingest_records_per_sec,
             run.latency_p50_ns,
             run.latency_p99_ns,
         );
@@ -559,12 +563,8 @@ fn main() {
         "the fleet never reached {connections} concurrent connections (peak {max_active})"
     );
 
-    let binary_over_json_query_qps = codec_runs[1].query_qps / codec_runs[0].query_qps.max(1e-9);
-    let binary_over_json_ingest_records =
-        codec_runs[1].ingest_records_per_sec / codec_runs[0].ingest_records_per_sec.max(1e-9);
-    println!(
-        "binary over json: query {binary_over_json_query_qps:.2}x, ingest records {binary_over_json_ingest_records:.2}x"
-    );
+    let binary_over_json_mixed_qps = codec_runs[1].qps / codec_runs[0].qps.max(1e-9);
+    println!("binary over json: mixed-run q/s {binary_over_json_mixed_qps:.2}x");
 
     let churn = run_churn(&addr, churn_threads, churn_sessions);
     println!(
@@ -591,8 +591,7 @@ fn main() {
         requests_per_connection,
         max_active_connections: max_active,
         codec_runs,
-        binary_over_json_query_qps,
-        binary_over_json_ingest_records,
+        binary_over_json_mixed_qps,
         churn,
         codec_micro,
         snapshot_identical,

@@ -21,8 +21,8 @@
 //!   deliver bitwise-identical requests to the service, so a binary
 //!   session produces byte-identical warm stores and estimates to the
 //!   same session over JSON.
-//! * **Graceful drain** — any session's `Shutdown` request (after its
-//!   `Bye` is queued) puts the whole server into drain: the accept loop
+//! * **Graceful drain** — any session's `Shutdown` request (just before
+//!   its `Bye` is queued) puts the whole server into drain: the accept loop
 //!   stops, idle sessions close after flushing their write queues, and
 //!   [`NetServer::wait`] force-closes stragglers only after
 //!   `drain_ms`.
@@ -550,6 +550,12 @@ fn session_loop(
             },
         };
         let bye = response == Response::Bye;
+        if bye {
+            // `Shutdown` drains the whole front door: stop accepting,
+            // flush, exit. The flag flips before `Bye` is queued, so a
+            // client that has read its `Bye` always observes the drain.
+            shared.draining.store(true, Ordering::SeqCst);
+        }
         if tx.send(encode_response_bytes(&response, codec)).is_err() {
             // The writer died (client stopped reading and went away).
             return SessionEnd::Torn(ServeError::Transport(
@@ -557,10 +563,6 @@ fn session_loop(
             ));
         }
         if bye {
-            // `Shutdown` drains the whole front door: stop accepting,
-            // flush, exit. The response is already queued, so the
-            // client sees its `Bye`.
-            shared.draining.store(true, Ordering::SeqCst);
             return SessionEnd::Clean;
         }
     }

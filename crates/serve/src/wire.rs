@@ -32,6 +32,30 @@
 //! 4+N-4   4     CRC32 (IEEE) over tag + payload (u32 LE)
 //! ```
 //!
+//! The CRC is computed slice-by-8 (eight table lookups per eight input
+//! bytes), so checking a frame costs well under a nanosecond per byte.
+//!
+//! ## `Ingest` payload ([`TAG_INGEST`], `0x04`)
+//!
+//! ```text
+//! 1+8?   key          option flag, then u64 LE when present
+//! 1+4+L? name         option flag, then u32 LE length + UTF-8 bytes
+//! 1+8?   min_privacy  option flag, then f64 bits LE
+//! 1+...? records      option flag, then:
+//!          1        width W: 1, 2 or 4 — the narrowest that holds the
+//!                   batch's largest record
+//!          4        record count C (u32 LE)
+//!          C*W      the records, each W bytes LE
+//! 1+...? counts       option flag, then u32 LE count + u64 LE each
+//! 1+8?   seed         option flag, then u64 LE
+//! ```
+//!
+//! A batch over at most 256 categories therefore crosses at one byte per
+//! record. Any other width byte is a typed [`WireError::Malformed`]. The
+//! earlier layout (`u32` per record under tag `0x01`) is retired: such a
+//! frame decodes as [`WireError::UnknownTag`], which a session answers
+//! with an `invalid_request` error and survives.
+//!
 //! Example — `Estimate { key: Some(9), name: None }` as one frame
 //! (15 bytes total; asserted byte-for-byte by a unit test):
 //!
@@ -65,9 +89,11 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// client-influenced allocations.
 pub const MAX_WIRE_CATEGORIES: u32 = 4096;
 
-/// Request tag: binary `Ingest` (raw-record batches or pre-counted
-/// responses, no per-record JSON tokens).
-pub const TAG_INGEST: u8 = 0x01;
+/// Request tag: binary `Ingest` (raw-record batches packed at 1, 2 or 4
+/// bytes per record, or pre-counted responses; see the module docs).
+/// Tag `0x01` carried the earlier `u32`-per-record layout; it is retired
+/// and decodes as [`WireError::UnknownTag`].
+pub const TAG_INGEST: u8 = 0x04;
 /// Request tag: binary `BestForPrivacy` — the paper's point query.
 pub const TAG_QUERY: u8 = 0x02;
 /// Request tag: binary `Estimate`.
@@ -176,10 +202,13 @@ impl std::error::Error for WireError {}
 /// Convenience alias for codec results.
 pub type Result<T> = std::result::Result<T, WireError>;
 
-// ---- CRC32 (IEEE, reflected) ------------------------------------------------
+// ---- CRC32 (IEEE, reflected, slice-by-8) -------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The eight slice-by-8 lookup tables. `t[0]` is the classic bytewise
+/// table; `t[k][i]` is the CRC of byte `i` followed by `k` zero bytes,
+/// so one step folds eight input bytes with eight independent lookups.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -192,21 +221,46 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC32 (IEEE 802.3, the zlib polynomial) over a byte slice — the
 /// frame integrity check. Collision resistance is not the threat model;
-/// torn and bit-flipped frames are.
+/// torn and bit-flipped frames are. Eight bytes per step (slice-by-8),
+/// bitwise-equal to the byte-at-a-time table loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -325,19 +379,36 @@ impl<'a> FieldReader<'a> {
             .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
     }
 
-    fn vec_u32_as_usize(&mut self) -> Result<Vec<usize>> {
+    /// A packed record batch (see [`put_records`]): one width byte (1, 2
+    /// or 4), a `u32` count, then `count` records of that width.
+    fn packed_records(&mut self) -> Result<Vec<usize>> {
+        let width = match self.u8()? {
+            w @ (1 | 2 | 4) => usize::from(w),
+            other => {
+                return Err(WireError::Malformed(format!(
+                    "record width byte {other:#04x}"
+                )))
+            }
+        };
         let count = self.u32()? as usize;
         // The count is validated against the bytes actually present
         // before any allocation, so a torn prefix cannot oversize a Vec.
         let bytes = self.take(
             count
-                .checked_mul(4)
+                .checked_mul(width)
                 .ok_or_else(|| WireError::Malformed("record count overflows".into()))?,
         )?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as usize)
-            .collect())
+        Ok(match width {
+            1 => bytes.iter().map(|&b| usize::from(b)).collect(),
+            2 => bytes
+                .chunks_exact(2)
+                .map(|c| usize::from(u16::from_le_bytes([c[0], c[1]])))
+                .collect(),
+            _ => bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as usize)
+                .collect(),
+        })
     }
 
     fn vec_u64(&mut self) -> Result<Vec<u64>> {
@@ -407,31 +478,43 @@ impl<'a> FieldReader<'a> {
 
 // ---- frame assembly ---------------------------------------------------------
 
-/// Assembles one complete frame (length prefix + tag + payload + CRC)
-/// from a tag and payload.
-pub fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>> {
-    let body_len = 1 + payload.len() + 4;
-    let len = u32::try_from(body_len)
+/// Bytes in front of a frame's payload: the length prefix and the tag.
+const FRAME_HEAD: usize = 5;
+
+/// A frame buffer with room reserved for the length prefix and the tag;
+/// the encoders append the payload straight after it and [`seal_frame`]
+/// fills in the head and the CRC, so no payload is ever copied.
+fn start_frame(payload_hint: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEAD + payload_hint + 4);
+    frame.resize(FRAME_HEAD, 0);
+    frame
+}
+
+/// Completes a [`start_frame`] buffer: writes the length prefix and the
+/// tag, then appends the CRC over tag + payload.
+fn seal_frame(mut frame: Vec<u8>, tag: u8) -> Result<Vec<u8>> {
+    let payload_len = frame.len() - FRAME_HEAD;
+    let len = u32::try_from(1 + payload_len + 4)
         .ok()
         .filter(|&l| l <= MAX_FRAME_LEN)
         .ok_or_else(|| {
             WireError::Unencodable(format!(
-                "payload of {} bytes exceeds the frame cap",
-                payload.len()
+                "payload of {payload_len} bytes exceeds the frame cap"
             ))
         })?;
-    let mut frame = Vec::with_capacity(4 + body_len);
-    put_u32(&mut frame, len);
-    frame.push(tag);
-    frame.extend_from_slice(payload);
-    let crc = {
-        let mut checked = Vec::with_capacity(1 + payload.len());
-        checked.push(tag);
-        checked.extend_from_slice(payload);
-        crc32(&checked)
-    };
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4] = tag;
+    let crc = crc32(&frame[4..]);
     put_u32(&mut frame, crc);
     Ok(frame)
+}
+
+/// Assembles one complete frame (length prefix + tag + payload + CRC)
+/// from a tag and payload.
+pub fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>> {
+    let mut frame = start_frame(payload.len());
+    frame.extend_from_slice(payload);
+    seal_frame(frame, tag)
 }
 
 /// Validates a frame's 4-byte length prefix and returns the body length
@@ -467,12 +550,55 @@ pub fn parse_body(body: &[u8]) -> Result<(u8, &[u8])> {
 
 // ---- request codec ----------------------------------------------------------
 
+/// Writes a record batch at the narrowest width that holds its largest
+/// record: one width byte (1, 2 or 4), a `u32` count, then each record
+/// little-endian at that width — 1 B/record for up to 256 categories.
+fn put_records(out: &mut Vec<u8>, records: &[usize]) -> Result<()> {
+    let count = u32::try_from(records.len())
+        .map_err(|_| WireError::Unencodable(format!("batch of {} records", records.len())))?;
+    let max = records.iter().copied().max().unwrap_or(0);
+    let width: u8 = match u32::try_from(max) {
+        Ok(m) if m <= 0xFF => 1,
+        Ok(m) if m <= 0xFFFF => 2,
+        Ok(_) => 4,
+        Err(_) => {
+            return Err(WireError::Unencodable(format!(
+                "record index {max} exceeds u32"
+            )))
+        }
+    };
+    out.push(width);
+    put_u32(out, count);
+    out.reserve(records.len() * usize::from(width));
+    match width {
+        1 => out.extend(records.iter().map(|&r| r as u8)),
+        2 => {
+            for &r in records {
+                out.extend_from_slice(&(r as u16).to_le_bytes());
+            }
+        }
+        _ => {
+            for &r in records {
+                out.extend_from_slice(&(r as u32).to_le_bytes());
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Encodes a request as one complete binary frame. The hot verbs
 /// (`Ingest`, `BestForPrivacy`, `Estimate`) get fixed-width binary
 /// payloads; every other verb rides in a [`TAG_JSON_REQUEST`] escape
 /// frame, so any session can be carried over either codec.
 pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
-    let mut payload = Vec::new();
+    let hint = match request {
+        Request::Ingest {
+            records: Some(records),
+            ..
+        } => 64 + records.len(),
+        _ => 64,
+    };
+    let mut frame = start_frame(hint);
     let tag = match request {
         Request::Ingest {
             key,
@@ -482,29 +608,19 @@ pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
             counts,
             seed,
         } => {
-            put_opt(&mut payload, key, |out, v| {
+            put_opt(&mut frame, key, |out, v| {
                 put_u64(out, *v);
                 Ok(())
             })?;
-            put_opt(&mut payload, name, |out, v| put_str(out, v))?;
-            put_opt(&mut payload, min_privacy, |out, v| {
+            put_opt(&mut frame, name, |out, v| put_str(out, v))?;
+            put_opt(&mut frame, min_privacy, |out, v| {
                 put_f64(out, *v);
                 Ok(())
             })?;
-            put_opt(&mut payload, records, |out, records| {
-                let count = u32::try_from(records.len()).map_err(|_| {
-                    WireError::Unencodable(format!("batch of {} records", records.len()))
-                })?;
-                put_u32(out, count);
-                for &record in records {
-                    let value = u32::try_from(record).map_err(|_| {
-                        WireError::Unencodable(format!("record index {record} exceeds u32"))
-                    })?;
-                    put_u32(out, value);
-                }
-                Ok(())
+            put_opt(&mut frame, records, |out, records| {
+                put_records(out, records)
             })?;
-            put_opt(&mut payload, counts, |out, counts| {
+            put_opt(&mut frame, counts, |out, counts| {
                 let count = u32::try_from(counts.len()).map_err(|_| {
                     WireError::Unencodable(format!("count set of {} categories", counts.len()))
                 })?;
@@ -514,7 +630,7 @@ pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
                 }
                 Ok(())
             })?;
-            put_opt(&mut payload, seed, |out, v| {
+            put_opt(&mut frame, seed, |out, v| {
                 put_u64(out, *v);
                 Ok(())
             })?;
@@ -525,28 +641,28 @@ pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
             name,
             min_privacy,
         } => {
-            put_opt(&mut payload, key, |out, v| {
+            put_opt(&mut frame, key, |out, v| {
                 put_u64(out, *v);
                 Ok(())
             })?;
-            put_opt(&mut payload, name, |out, v| put_str(out, v))?;
-            put_f64(&mut payload, *min_privacy);
+            put_opt(&mut frame, name, |out, v| put_str(out, v))?;
+            put_f64(&mut frame, *min_privacy);
             TAG_QUERY
         }
         Request::Estimate { key, name } => {
-            put_opt(&mut payload, key, |out, v| {
+            put_opt(&mut frame, key, |out, v| {
                 put_u64(out, *v);
                 Ok(())
             })?;
-            put_opt(&mut payload, name, |out, v| put_str(out, v))?;
+            put_opt(&mut frame, name, |out, v| put_str(out, v))?;
             TAG_ESTIMATE
         }
         other => {
-            payload.extend_from_slice(protocol::encode_request(other).as_bytes());
+            frame.extend_from_slice(protocol::encode_request(other).as_bytes());
             TAG_JSON_REQUEST
         }
     };
-    encode_frame(tag, &payload)
+    seal_frame(frame, tag)
 }
 
 /// Decodes one binary frame body (tag + payload, CRC already verified
@@ -559,7 +675,7 @@ pub fn decode_request_frame(tag: u8, payload: &[u8]) -> Result<Request> {
             name: r.opt_string()?,
             min_privacy: r.opt_f64()?,
             records: if r.flag()? {
-                Some(r.vec_u32_as_usize()?)
+                Some(r.packed_records()?)
             } else {
                 None
             },
@@ -581,6 +697,8 @@ pub fn decode_request_frame(tag: u8, payload: &[u8]) -> Result<Request> {
             return protocol::decode_request(text)
                 .map_err(|e| WireError::Malformed(format!("JSON-escape request: {e}")));
         }
+        // Includes the retired `0x01` (`u32`-per-record `Ingest`): an
+        // old-layout frame is refused, never decoded as the new one.
         other => return Err(WireError::UnknownTag(other)),
     };
     r.finish()?;
@@ -635,7 +753,13 @@ fn read_estimate_dto(r: &mut FieldReader<'_>) -> Result<EstimateDto> {
 /// float→decimal→float round trip — and every other response rides in a
 /// [`TAG_JSON_RESPONSE`] escape frame.
 pub fn encode_response_frame(response: &Response) -> Result<Vec<u8>> {
-    let mut payload = Vec::new();
+    let hint = match response {
+        Response::Matrix { matrix, .. } => {
+            64 + 8 * matrix.columns.iter().map(Vec::len).sum::<usize>()
+        }
+        _ => 128,
+    };
+    let mut frame = start_frame(hint);
     let tag = match response {
         Response::Ingested {
             key,
@@ -645,12 +769,12 @@ pub fn encode_response_frame(response: &Response) -> Result<Vec<u8>> {
             batches,
             privacy,
         } => {
-            put_u64(&mut payload, *key);
-            put_u64(&mut payload, *accepted);
-            put_u64(&mut payload, *retained);
-            put_u64(&mut payload, *total);
-            put_u64(&mut payload, *batches);
-            put_f64(&mut payload, *privacy);
+            put_u64(&mut frame, *key);
+            put_u64(&mut frame, *accepted);
+            put_u64(&mut frame, *retained);
+            put_u64(&mut frame, *total);
+            put_u64(&mut frame, *batches);
+            put_f64(&mut frame, *privacy);
             TAG_INGESTED
         }
         Response::Matrix {
@@ -680,21 +804,21 @@ pub fn encode_response_frame(response: &Response) -> Result<Vec<u8>> {
                     "matrix columns do not match num_categories".into(),
                 ));
             }
-            put_u64(&mut payload, *key);
-            put_f64(&mut payload, *privacy);
-            put_f64(&mut payload, *mse);
-            put_f64(&mut payload, *max_posterior);
-            put_bool(&mut payload, *degraded);
-            put_u32(&mut payload, n);
+            put_u64(&mut frame, *key);
+            put_f64(&mut frame, *privacy);
+            put_f64(&mut frame, *mse);
+            put_f64(&mut frame, *max_posterior);
+            put_bool(&mut frame, *degraded);
+            put_u32(&mut frame, n);
             for column in &matrix.columns {
                 for &theta in column {
-                    put_f64(&mut payload, theta);
+                    put_f64(&mut frame, theta);
                 }
             }
             TAG_MATRIX
         }
         Response::Estimated { stats } => {
-            put_estimate_dto(&mut payload, stats)?;
+            put_estimate_dto(&mut frame, stats)?;
             TAG_ESTIMATED
         }
         Response::NoMatch {
@@ -702,17 +826,17 @@ pub fn encode_response_frame(response: &Response) -> Result<Vec<u8>> {
             reason,
             degraded,
         } => {
-            put_u64(&mut payload, *key);
-            put_str(&mut payload, reason)?;
-            put_bool(&mut payload, *degraded);
+            put_u64(&mut frame, *key);
+            put_str(&mut frame, reason)?;
+            put_bool(&mut frame, *degraded);
             TAG_NO_MATCH
         }
         other => {
-            payload.extend_from_slice(protocol::encode_response(other).as_bytes());
+            frame.extend_from_slice(protocol::encode_response(other).as_bytes());
             TAG_JSON_RESPONSE
         }
     };
-    encode_frame(tag, &payload)
+    seal_frame(frame, tag)
 }
 
 /// Decodes one binary frame body (tag + payload, CRC already verified)
@@ -1159,11 +1283,141 @@ mod tests {
         ));
     }
 
+    /// The byte-at-a-time table loop the slice-by-8 CRC replaced: the
+    /// oracle it must equal bit for bit.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_oracle_at_every_length_and_alignment() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buffer: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=4096 {
+                let bytes = &buffer[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
+    fn ingest_with_records(records: Vec<usize>) -> Request {
+        Request::Ingest {
+            key: Some(3),
+            name: None,
+            min_privacy: None,
+            records: Some(records),
+            counts: None,
+            seed: None,
+        }
+    }
+
+    #[test]
+    fn packed_records_use_the_narrowest_width_and_round_trip() {
+        // Payload offsets: key flag + u64, name flag, min_privacy flag,
+        // records flag, then the width byte.
+        const WIDTH_AT: usize = 5 + 9 + 1 + 1 + 1;
+        for (max, width) in [
+            (0usize, 1u8),
+            (255, 1),
+            (256, 2),
+            (65_535, 2),
+            (65_536, 4),
+            (u32::MAX as usize, 4),
+        ] {
+            let records = vec![0, max, max / 2, 1.min(max), max];
+            let request = ingest_with_records(records.clone());
+            let frame = encode_request_frame(&request).unwrap();
+            assert_eq!(frame[4], TAG_INGEST);
+            assert_eq!(frame[WIDTH_AT], width, "max record {max}");
+            assert_eq!(
+                frame.len(),
+                WIDTH_AT + 1 + 4 + records.len() * usize::from(width) + 2 + 4,
+                "max record {max}"
+            );
+            assert_eq!(round_trip_request(&request), request);
+        }
+        // The empty batch takes the 1-byte width.
+        let empty = ingest_with_records(Vec::new());
+        let frame = encode_request_frame(&empty).unwrap();
+        assert_eq!(frame[WIDTH_AT], 1);
+        assert_eq!(round_trip_request(&empty), empty);
+        // A 4096-record batch over 8 categories packs to ~1 B/record.
+        let batch = ingest_with_records((0..4096).map(|i| i % 8).collect());
+        assert!(encode_request_frame(&batch).unwrap().len() < 4096 + 48);
+    }
+
+    #[test]
+    fn records_beyond_u32_are_unencodable() {
+        if let Ok(big) = usize::try_from(u64::from(u32::MAX) + 1) {
+            assert!(matches!(
+                encode_request_frame(&ingest_with_records(vec![1, big])),
+                Err(WireError::Unencodable(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn a_bad_record_width_byte_is_a_typed_error() {
+        let frame = encode_request_frame(&ingest_with_records(vec![1, 2, 3])).unwrap();
+        let (tag, mut payload) = decode_frame(&frame).unwrap();
+        let width_at = 9 + 1 + 1 + 1;
+        assert_eq!(payload[width_at], 1);
+        for bad in [0u8, 3, 8, 0xFF] {
+            payload[width_at] = bad;
+            assert!(
+                matches!(
+                    decode_request_frame(tag, &payload),
+                    Err(WireError::Malformed(ref reason)) if reason.contains("width")
+                ),
+                "width byte {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_retired_u32_ingest_layout_is_refused() {
+        // Tag 0x01 with the old payload: records as a u32 count plus one
+        // u32 per record, no width byte.
+        let mut payload = vec![0, 0, 0, 1];
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        for record in [0u32, 1, 2] {
+            payload.extend_from_slice(&record.to_le_bytes());
+        }
+        payload.extend_from_slice(&[0, 0]);
+        let frame = encode_frame(0x01, &payload).unwrap();
+        let (tag, payload) = decode_frame(&frame).unwrap();
+        assert_eq!(
+            decode_request_frame(tag, &payload),
+            Err(WireError::UnknownTag(0x01))
+        );
     }
 
     proptest! {

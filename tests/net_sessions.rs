@@ -505,3 +505,88 @@ fn concurrent_sessions_share_one_service_without_interference() {
     server.request_drain();
     server.wait();
 }
+
+/// 20k nested `[` — deep enough to overflow a session thread's stack if
+/// the JSON parser recursed without a cap.
+fn deeply_nested_line() -> String {
+    format!(r#"{{"Stats":{{"name":{}}}}}"#, "[".repeat(20_000))
+}
+
+fn assert_invalid_request(response: Response) {
+    let Response::Error { code, .. } = &response else {
+        panic!("expected an invalid_request error, got {response:?}");
+    };
+    assert_eq!(code, "invalid_request");
+}
+
+#[test]
+fn too_deep_json_over_a_socket_is_an_invalid_request_and_the_session_survives() {
+    let server = tcp_server(ServiceConfig::smoke(49), |net| net);
+    let addr = server.listen_addr();
+    let mut client = NetClient::connect(&addr, Codec::Json).unwrap();
+    let mut line = deeply_nested_line().into_bytes();
+    line.push(b'\n');
+    client.send_raw(&line).unwrap();
+    assert_invalid_request(client.recv().unwrap());
+    assert!(matches!(
+        client.request(&register_request("deep")).unwrap(),
+        Response::Registered { warm: true, .. }
+    ));
+    server.request_drain();
+    server.wait();
+}
+
+#[test]
+fn too_deep_json_in_a_binary_escape_frame_is_an_invalid_request() {
+    let server = tcp_server(ServiceConfig::smoke(50), |net| net);
+    let addr = server.listen_addr();
+    let mut client = NetClient::connect(&addr, Codec::Binary).unwrap();
+    let frame = serve::wire::encode_frame(
+        serve::wire::TAG_JSON_REQUEST,
+        deeply_nested_line().as_bytes(),
+    )
+    .unwrap();
+    client.send_raw(&frame).unwrap();
+    assert_invalid_request(client.recv().unwrap());
+    assert!(matches!(
+        client.request(&register_request("deep")).unwrap(),
+        Response::Registered { warm: true, .. }
+    ));
+    server.request_drain();
+    server.wait();
+}
+
+#[test]
+fn a_retired_layout_ingest_frame_is_an_invalid_request_and_the_session_survives() {
+    let server = tcp_server(ServiceConfig::smoke(51), |net| net);
+    let addr = server.listen_addr();
+    let mut client = NetClient::connect(&addr, Codec::Binary).unwrap();
+    assert!(matches!(
+        client.request(&register_request("old")).unwrap(),
+        Response::Registered { .. }
+    ));
+    // The retired tag 0x01 layout: name "old", records as a u32 count
+    // plus one u32 per record.
+    let mut payload = vec![0, 1];
+    payload.extend_from_slice(&3u32.to_le_bytes());
+    payload.extend_from_slice(b"old");
+    payload.extend_from_slice(&[0, 1]);
+    payload.extend_from_slice(&4u32.to_le_bytes());
+    for record in [0u32, 1, 2, 3] {
+        payload.extend_from_slice(&record.to_le_bytes());
+    }
+    payload.extend_from_slice(&[0, 0]);
+    let frame = serve::wire::encode_frame(0x01, &payload).unwrap();
+    client.send_raw(&frame).unwrap();
+    assert_invalid_request(client.recv().unwrap());
+    // Nothing was ingested, and the session keeps serving.
+    let response = client
+        .request(&ingest_request("old", vec![0, 1, 2, 3], 5))
+        .unwrap();
+    let Response::Ingested { total, batches, .. } = response else {
+        panic!("expected Ingested, got {response:?}");
+    };
+    assert_eq!((total, batches), (4, 1));
+    server.request_drain();
+    server.wait();
+}

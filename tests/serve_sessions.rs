@@ -205,3 +205,29 @@ fn batch_front_door_warms_many_priors_and_matches_solo_registration() {
     let solo_entry = solo.register(None, &priors[1], DELTA, None, true).unwrap();
     assert_eq!(solo_entry.store().merge(), entries[1].store().merge());
 }
+
+#[test]
+fn too_deep_json_on_stdin_is_an_invalid_request_and_the_loop_continues() {
+    let service = Arc::new(Service::new(ServiceConfig::smoke(91)));
+    // 20k nested `[`: a stack overflow if the parser recursed uncapped.
+    let session = [
+        format!(r#"{{"Stats":{{"name":{}}}}}"#, "[".repeat(20_000)),
+        r#"{"Stats":{}}"#.to_string(),
+        r#""Shutdown""#.to_string(),
+    ]
+    .join("\n");
+    let mut output = Vec::new();
+    service.run_loop(session.as_bytes(), &mut output).unwrap();
+    let text = String::from_utf8(output).unwrap();
+    let decoded: Vec<serve::Response> = text
+        .lines()
+        .map(|l| serve::protocol::decode_response(l).expect("valid response line"))
+        .collect();
+    assert_eq!(decoded.len(), 3);
+    let serve::Response::Error { code, .. } = &decoded[0] else {
+        panic!("expected an invalid_request error, got {:?}", decoded[0]);
+    };
+    assert_eq!(code, "invalid_request");
+    assert!(matches!(decoded[1], serve::Response::ServiceStats { .. }));
+    assert_eq!(decoded[2], serve::Response::Bye);
+}
