@@ -32,8 +32,8 @@
 use bench_support::{arg_value, percentile};
 use serde::Serialize;
 use serve::net::{ListenAddr, NetClient, NetConfig, NetServer};
-use serve::wire::Codec;
-use serve::{protocol, wire, Request, Response, Service, ServiceConfig};
+use serve::wire::{Codec, Inbound};
+use serve::{protocol, Request, Response, Service, ServiceConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -306,85 +306,33 @@ fn median_ns(mut samples: Vec<u64>) -> u64 {
     percentile(&samples, 0.50)
 }
 
-/// Encode/decode one request DTO `iters` times under both codecs.
-fn micro_request(payload: &str, request: &Request, iters: usize) -> Vec<MicroRow> {
-    let json_text = protocol::encode_request(request);
-    let frame = wire::encode_request_frame(request).expect("hot request encodes");
+/// Encode/decode one DTO `iters` times under both codecs, through the
+/// codec seam: `encode` puts it on the wire, `decode` reads it back.
+fn micro(
+    payload: &str,
+    iters: usize,
+    encode: impl Fn(Codec) -> Vec<u8>,
+    decode: impl Fn(Codec, &[u8]),
+) -> Vec<MicroRow> {
     let mut rows = Vec::new();
     for codec in [Codec::Json, Codec::Binary] {
-        let mut encode = Vec::with_capacity(iters);
-        let mut decode = Vec::with_capacity(iters);
+        let bytes = encode(codec);
+        let mut encode_ns = Vec::with_capacity(iters);
+        let mut decode_ns = Vec::with_capacity(iters);
         for _ in 0..iters {
             let t = Instant::now();
-            let encoded_len = match codec {
-                Codec::Json => protocol::encode_request(request).len(),
-                Codec::Binary => wire::encode_request_frame(request).unwrap().len(),
-            };
-            encode.push(t.elapsed().as_nanos() as u64);
-            assert!(encoded_len > 0);
+            assert!(!encode(codec).is_empty());
+            encode_ns.push(t.elapsed().as_nanos() as u64);
             let t = Instant::now();
-            match codec {
-                Codec::Json => {
-                    protocol::decode_request(&json_text).expect("round trip");
-                }
-                Codec::Binary => {
-                    let (tag, payload) = wire::decode_frame(&frame).expect("round trip");
-                    wire::decode_request_frame(tag, &payload).expect("round trip");
-                }
-            }
-            decode.push(t.elapsed().as_nanos() as u64);
+            decode(codec, &bytes);
+            decode_ns.push(t.elapsed().as_nanos() as u64);
         }
         rows.push(MicroRow {
             payload: payload.to_string(),
             codec: codec.label().to_string(),
-            bytes: match codec {
-                Codec::Json => json_text.len() + 1,
-                Codec::Binary => frame.len(),
-            },
-            encode_p50_ns: median_ns(encode),
-            decode_p50_ns: median_ns(decode),
-        });
-    }
-    rows
-}
-
-/// Encode/decode one response DTO `iters` times under both codecs.
-fn micro_response(payload: &str, response: &Response, iters: usize) -> Vec<MicroRow> {
-    let json_text = protocol::encode_response(response);
-    let frame = wire::encode_response_frame(response).expect("hot response encodes");
-    let mut rows = Vec::new();
-    for codec in [Codec::Json, Codec::Binary] {
-        let mut encode = Vec::with_capacity(iters);
-        let mut decode = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let t = Instant::now();
-            let encoded_len = match codec {
-                Codec::Json => protocol::encode_response(response).len(),
-                Codec::Binary => wire::encode_response_frame(response).unwrap().len(),
-            };
-            encode.push(t.elapsed().as_nanos() as u64);
-            assert!(encoded_len > 0);
-            let t = Instant::now();
-            match codec {
-                Codec::Json => {
-                    protocol::decode_response(&json_text).expect("round trip");
-                }
-                Codec::Binary => {
-                    let (tag, payload) = wire::decode_frame(&frame).expect("round trip");
-                    wire::decode_response_frame(tag, &payload).expect("round trip");
-                }
-            }
-            decode.push(t.elapsed().as_nanos() as u64);
-        }
-        rows.push(MicroRow {
-            payload: payload.to_string(),
-            codec: codec.label().to_string(),
-            bytes: match codec {
-                Codec::Json => json_text.len() + 1,
-                Codec::Binary => frame.len(),
-            },
-            encode_p50_ns: median_ns(encode),
-            decode_p50_ns: median_ns(decode),
+            bytes: bytes.len(),
+            encode_p50_ns: median_ns(encode_ns),
+            decode_p50_ns: median_ns(decode_ns),
         });
     }
     rows
@@ -417,11 +365,23 @@ fn run_codec_micro(iters: usize) -> Vec<MicroRow> {
         },
         degraded: false,
     };
-    rows.extend(micro_response("matrix_16x16", &matrix, iters));
-    rows.extend(micro_request(
-        "ingest_4096_records",
-        &ingest_request("bench", 4096, 1),
+    rows.extend(micro(
+        "matrix_16x16",
         iters,
+        |codec| codec.encode_response(&matrix),
+        |codec, mut bytes| {
+            codec.read_response(&mut bytes).expect("round trip");
+        },
+    ));
+    let ingest = ingest_request("bench", 4096, 1);
+    rows.extend(micro(
+        "ingest_4096_records",
+        iters,
+        |codec| codec.encode_request(&ingest).expect("hot request encodes"),
+        |codec, mut bytes| {
+            let decoded = codec.read_request(&mut bytes).expect("round trip");
+            assert!(matches!(decoded, Inbound::Frame(Ok(_))));
+        },
     ));
     rows
 }
@@ -538,6 +498,12 @@ fn main() {
         matches!(response, Response::Registered { warm: true, .. }),
         "the bench key must be warm before the measured window"
     );
+    // The workers start together, so a worker's first `Estimate` may
+    // reach the server before any worker's `Ingest`: land one batch first.
+    let response = setup
+        .request(&ingest_request("bench", INGEST_BATCH, 0))
+        .expect("ingest");
+    assert!(matches!(response, Response::Ingested { .. }));
     drop(setup);
 
     let mut codec_runs = Vec::new();

@@ -2,7 +2,8 @@
 //! door over stdin/stdout.
 //!
 //! One JSON request per input line, one JSON response per output line (see
-//! `serve::protocol` for the frame shapes). Besides the matrix queries
+//! `serve::protocol` for the frame shapes); a leading `0xB1` byte switches
+//! stdin to `OPTRR-WIRE v1` binary frames, exactly as on a socket. Besides the matrix queries
 //! (`Register`/`BestForPrivacy`/`BestForMse`/`Front`), the binary speaks
 //! the streaming pipeline verbs — `Ingest`, `Disguise`, `Estimate`,
 //! `EstimateAll` — the persistence verbs `Save`/`Load` (plus automatic
@@ -111,7 +112,7 @@ fn main() {
     let stdin = io::stdin();
     let stdout = io::stdout();
     if let Err(error) = service.run_loop(BufReader::new(stdin.lock()), stdout.lock()) {
-        eprintln!("optrr-serve: session I/O error: {error}");
+        eprintln!("optrr-serve: session failed: {error}");
         std::process::exit(1);
     }
 }

@@ -57,7 +57,8 @@
 //! * [`env`] — validated `OPTRR_SERVE_*` environment configuration for
 //!   the binary (bad values abort startup instead of silently
 //!   defaulting).
-//! * [`net`] — the network front door: TCP + Unix-domain socket sessions
+//! * [`net`] — the session front door: one session driver for stdin and
+//!   every socket, and TCP + Unix-domain socket sessions
 //!   over one shared [`Service`] — a bounded connection pool fed by a
 //!   nonblocking accept loop, per-connection reader/writer threads with a
 //!   bounded response queue (pipelining in request order, backpressure

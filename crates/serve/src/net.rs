@@ -1,46 +1,46 @@
-//! The network front door: TCP + Unix-domain socket sessions over one
-//! shared [`Service`].
+//! The session front door: one session driver for every transport, and
+//! the TCP + Unix-domain socket listener over one shared [`Service`].
 //!
-//! [`NetServer::start`] binds a listener ([`ListenAddr::Tcp`] or
-//! [`ListenAddr::Unix`]) and runs an accept loop feeding a bounded
-//! connection pool (`max_conns`; excess connections wait in the OS
-//! backlog). Each accepted connection gets a session thread that reuses
-//! the [`Service::run_loop`] semantics — decode one request, handle,
-//! respond in order — plus a writer thread behind a bounded queue
-//! (`conn_queue`), so:
+//! **The driver** (`drive`) runs every session — each socket connection
+//! and [`Service::run_loop`] on stdin alike. It negotiates the codec from
+//! the session's first byte ([`wire::PREAMBLE`] selects `OPTRR-WIRE v1`
+//! binary frames, anything else begins the first framed-JSON line), then
+//! reads, decodes, times, handles, encodes and sends one request at a
+//! time through the [`Codec`] seam: blank lines are skipped, an invalid
+//! request is answered `invalid_request` and the session continues, and
+//! per-verb plus per-codec latency histograms are recorded for every
+//! transport. A transport supplies only its reader, its drain flag
+//! (polled on read timeouts; `Shutdown` sets it just before queueing
+//! `Bye`), the network-only `conn_drop` fault ([`crate::faults`]) and its
+//! response sink: stdin writes and flushes each response, a socket queues
+//! it for its writer thread. Socket bytes are counted in
+//! `serve_net_bytes_{in,out}_total`.
 //!
-//! * **Pipelining** — a client may send many requests without reading;
-//!   responses are written strictly in request order per connection
-//!   (one FIFO queue per session).
-//! * **Backpressure** — a client that stops reading fills the kernel
-//!   buffer, then the bounded write queue, then blocks the session's
-//!   reader: the server never buffers unboundedly for a slow consumer.
-//! * **Codec negotiation** — the connection's first byte selects the
-//!   codec ([`wire::PREAMBLE`] → `OPTRR-WIRE v1` binary frames;
-//!   anything else begins the first framed-JSON line). Both codecs
-//!   deliver bitwise-identical requests to the service, so a binary
-//!   session produces byte-identical warm stores and estimates to the
-//!   same session over JSON.
-//! * **Graceful drain** — any session's `Shutdown` request (just before
-//!   its `Bye` is queued) puts the whole server into drain: the accept loop
-//!   stops, idle sessions close after flushing their write queues, and
-//!   [`NetServer::wait`] force-closes stragglers only after
-//!   `drain_ms`.
+//! **The listener** ([`NetServer::start`] on a [`ListenAddr`]) feeds a
+//! bounded connection pool (`max_conns`; excess connections wait in the
+//! OS backlog). Each connection gets a session thread plus a writer
+//! thread behind a bounded queue (`conn_queue`), so responses come back
+//! strictly in request order however deep a client pipelines, and a
+//! client that stops reading blocks its own session, never the server's
+//! memory. Both codecs deliver bitwise-identical requests, so a binary
+//! session builds a byte-identical warm store to the same JSON session.
+//! A `Shutdown` on any session drains the whole server: the accept loop
+//! stops, idle sessions close after flushing, and [`NetServer::wait`]
+//! force-closes stragglers after `drain_ms`.
 //!
-//! A torn frame — truncated length prefix, half-written JSON line,
-//! checksum mismatch, abrupt disconnect — closes *that* session with a
-//! typed [`ServeError::Transport`] (counted in
-//! `serve_net_conn_errors_total`, answered best-effort with a
-//! `code: "transport"` error response) and leaves the shared service
-//! fully usable: sessions hold no service locks across requests, so
-//! there is nothing to poison and no `Warming` state to leak. The
-//! deterministic `conn_drop` fault site ([`crate::faults`]) drops a
-//! session mid-frame on purpose to keep that path covered.
+//! A transport failure — a torn length prefix, a checksum mismatch, a
+//! JSON line over [`wire::MAX_FRAME_LEN`] bytes, a newline-free tail at
+//! EOF that does not decode, an abrupt disconnect — ends *that* session
+//! with a typed [`ServeError::Transport`] (answered best-effort with a
+//! `code: "transport"` error; on sockets counted in
+//! `serve_net_conn_errors_total`) and leaves the shared service fully
+//! usable: sessions hold no service locks across requests. A newline-free
+//! tail that does decode is the session's last request.
 
-use crate::protocol::{self, Request, Response};
+use crate::protocol::{Request, Response};
 use crate::service::{ServeError, Service};
 use crate::telemetry::ServeObs;
-use crate::wire::{self, Codec};
+use crate::wire::{self, Codec, Inbound};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -124,33 +124,25 @@ trait SessionStream: Read + Write + Send {
     fn shutdown_stream(&self) -> io::Result<()>;
 }
 
-impl SessionStream for TcpStream {
-    fn try_clone_stream(&self) -> io::Result<Box<dyn SessionStream>> {
-        Ok(Box::new(self.try_clone()?))
-    }
+macro_rules! session_stream {
+    ($($stream:ty),*) => {$(
+        impl SessionStream for $stream {
+            fn try_clone_stream(&self) -> io::Result<Box<dyn SessionStream>> {
+                Ok(Box::new(self.try_clone()?))
+            }
 
-    fn set_read_timeout_stream(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
+            fn set_read_timeout_stream(&self, timeout: Option<Duration>) -> io::Result<()> {
+                self.set_read_timeout(timeout)
+            }
 
-    fn shutdown_stream(&self) -> io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
-    }
+            fn shutdown_stream(&self) -> io::Result<()> {
+                self.shutdown(std::net::Shutdown::Both)
+            }
+        }
+    )*};
 }
 
-impl SessionStream for UnixStream {
-    fn try_clone_stream(&self) -> io::Result<Box<dyn SessionStream>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-
-    fn set_read_timeout_stream(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
-    }
-
-    fn shutdown_stream(&self) -> io::Result<()> {
-        self.shutdown(std::net::Shutdown::Both)
-    }
-}
+session_stream!(TcpStream, UnixStream);
 
 enum Listener {
     Tcp(TcpListener),
@@ -415,16 +407,6 @@ fn spawn_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>) {
     }
 }
 
-/// Why a session's read loop stopped.
-enum SessionEnd {
-    /// The client closed cleanly at a frame boundary (or sent `Bye`).
-    Clean,
-    /// Drain was requested and the connection was idle.
-    Drained,
-    /// The transport failed mid-frame — the typed error to account.
-    Torn(ServeError),
-}
-
 fn run_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>, conn_id: u64) {
     let obs = Arc::clone(shared.obs());
     let writer_stream = match stream.try_clone_stream() {
@@ -439,111 +421,174 @@ fn run_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>, conn_id:
         .spawn(move || writer_loop(rx, writer_stream, writer_obs));
     let Ok(writer) = writer else { return };
 
-    let mut reader = BufReader::new(stream);
-    let mut codec = Codec::Json;
-    let end = match negotiate_codec(&mut reader, shared) {
-        Ok(Some(negotiated)) => {
-            codec = negotiated;
-            session_loop(shared, &mut reader, &tx, codec, conn_id)
-        }
-        Ok(None) => SessionEnd::Clean, // opened and closed without a byte
-        Err(end) => end,
+    let mut reader = BufReader::new(CountingReader {
+        stream,
+        obs: Arc::clone(&obs),
+    });
+    let mut socket = Socket {
+        shared,
+        conn_id,
+        tx,
     };
-    if let SessionEnd::Torn(error) = end {
+    if drive(&shared.service, &mut reader, &shared.draining, &mut socket).is_err() {
         obs.count_net_conn_error();
-        // Best-effort: tell the client what happened, in its own codec,
-        // before closing. On an abrupt disconnect the write simply
-        // fails; either way the session ends and the shared service is
-        // untouched.
-        let response = Response::Error {
-            reason: error.to_string(),
-            code: error.code().to_string(),
-        };
-        let _ = tx.try_send(encode_response_bytes(&response, codec));
     }
-    drop(tx);
+    // Dropping the queue's sender lets the writer flush and exit.
+    drop(socket);
     let _ = writer.join();
     // Closing our half unblocks a client still waiting on reads.
-    let _ = reader.get_ref().shutdown_stream();
+    let _ = reader.get_ref().stream.shutdown_stream();
 }
 
-/// Reads the connection's first byte and selects the codec. `Ok(None)`
-/// is a connection that closed before sending anything.
-fn negotiate_codec(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-) -> Result<Option<Codec>, SessionEnd> {
-    loop {
-        match reader.fill_buf() {
-            Ok([]) => return Ok(None),
-            Ok(buf) => {
-                return if buf[0] == wire::PREAMBLE {
-                    reader.consume(1);
-                    shared.obs().add_net_bytes_in(1);
-                    Ok(Some(Codec::Binary))
-                } else {
-                    Ok(Some(Codec::Json))
-                };
-            }
-            Err(e) if is_poll_timeout(&e) => {
-                if shared.draining() {
-                    return Err(SessionEnd::Drained);
-                }
-            }
-            Err(e) => {
-                return Err(SessionEnd::Torn(ServeError::Transport(format!(
-                    "reading the codec preamble: {e}"
-                ))))
-            }
-        }
+/// A socket's read half; every byte read off it is counted in
+/// `serve_net_bytes_in_total`.
+struct CountingReader {
+    stream: Box<dyn SessionStream>,
+    obs: Arc<ServeObs>,
+}
+
+impl Read for CountingReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.obs.add_net_bytes_in(n as u64);
+        Ok(n)
     }
 }
 
-fn is_poll_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
+// ---- the session driver -----------------------------------------------------
+
+/// What a transport contributes to a session besides its reader and its
+/// drain flag. Everything else — codec negotiation, decoding, timing,
+/// handling, encoding — is [`drive`]'s, the same for every transport.
+pub(crate) trait Transport {
+    /// Writes or queues one encoded response, in request order; an error
+    /// ends the session torn.
+    fn send(&mut self, response: Vec<u8>) -> io::Result<()>;
+
+    /// Sends a torn session's final error response, best effort.
+    fn send_last(&mut self, response: Vec<u8>) {
+        let _ = self.send(response);
+    }
+
+    /// Whether to hang up instead of handling request `index` (the
+    /// network-only `conn_drop` fault site).
+    fn drop_before(&mut self, _index: u64) -> bool {
+        false
+    }
 }
 
-fn session_loop(
-    shared: &Arc<NetShared>,
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    tx: &SyncSender<Vec<u8>>,
-    codec: Codec,
+/// The stdio transport: responses are written and flushed one by one.
+pub(crate) struct Stdio<W>(pub(crate) W);
+
+impl<W: Write> Transport for Stdio<W> {
+    fn send(&mut self, response: Vec<u8>) -> io::Result<()> {
+        self.0.write_all(&response)?;
+        self.0.flush()
+    }
+}
+
+/// The socket transport: responses go through the bounded queue to the
+/// connection's writer thread.
+struct Socket<'a> {
+    shared: &'a NetShared,
     conn_id: u64,
-) -> SessionEnd {
-    let obs = Arc::clone(shared.obs());
-    let injector = shared.service.fault_injector().cloned();
-    let mut request_index: u64 = 0;
-    loop {
-        let request = match read_request(reader, shared, codec) {
-            Ok(Some(decoded)) => decoded,
-            Ok(None) => return SessionEnd::Clean,
-            Err(end) => return end,
-        };
-        // The deterministic disconnect fault: hang up abruptly instead
-        // of handling, exercising the torn-frame cleanup end to end.
-        if let Some(injector) = &injector {
-            if injector.conn_drop(conn_id, request_index) {
-                let _ = reader.get_ref().shutdown_stream();
-                return SessionEnd::Torn(ServeError::Transport(format!(
-                    "injected connection drop before request {request_index}"
-                )));
+    tx: SyncSender<Vec<u8>>,
+}
+
+impl Transport for Socket<'_> {
+    fn send(&mut self, response: Vec<u8>) -> io::Result<()> {
+        // A send fails only when the writer died (the client stopped
+        // reading and went away).
+        self.tx.send(response).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "response writer closed mid-session",
+            )
+        })
+    }
+
+    fn send_last(&mut self, response: Vec<u8>) {
+        // Never block on a full queue: the client may have stopped
+        // reading, and the session is closing anyway.
+        let _ = self.tx.try_send(response);
+    }
+
+    fn drop_before(&mut self, index: u64) -> bool {
+        let dropped = self
+            .shared
+            .service
+            .fault_injector()
+            .is_some_and(|injector| injector.conn_drop(self.conn_id, index));
+        if dropped {
+            // Hang up abruptly, exercising the torn-frame cleanup end to
+            // end: the client sees EOF, not a response.
+            if let Some(stream) = lock(&self.shared.conns).get(&self.conn_id) {
+                let _ = stream.shutdown_stream();
             }
         }
-        request_index += 1;
+        dropped
+    }
+}
+
+/// Runs one session (see the module docs) until the client closes,
+/// `drain` is set while the session is idle, or `Shutdown` answers `Bye`.
+/// A transport failure is answered with a best-effort `transport` error
+/// in the session's codec and returned.
+pub(crate) fn drive<R: BufRead>(
+    service: &Arc<Service>,
+    reader: &mut R,
+    drain: &AtomicBool,
+    transport: &mut impl Transport,
+) -> Result<(), ServeError> {
+    let mut codec = Codec::Json;
+    let result = serve_requests(service, reader, drain, transport, &mut codec);
+    if let Err(error) = &result {
+        transport.send_last(codec.encode_response(&Response::Error {
+            reason: error.to_string(),
+            code: error.code().to_string(),
+        }));
+    }
+    result
+}
+
+fn serve_requests<R: BufRead>(
+    service: &Arc<Service>,
+    reader: &mut R,
+    drain: &AtomicBool,
+    transport: &mut impl Transport,
+    codec: &mut Codec,
+) -> Result<(), ServeError> {
+    let Some(negotiated) = poll(drain, || Codec::negotiate(reader))?.flatten() else {
+        return Ok(());
+    };
+    *codec = negotiated;
+    let obs = service.obs();
+    let mut index: u64 = 0;
+    loop {
+        let request = match poll(drain, || codec.read_request(reader))? {
+            None | Some(Inbound::End) => return Ok(()),
+            Some(Inbound::Blank) => continue,
+            Some(Inbound::Frame(request)) => request,
+        };
+        if transport.drop_before(index) {
+            return Err(ServeError::Transport(format!(
+                "injected connection drop before request {index}"
+            )));
+        }
+        index += 1;
         let response = match request {
+            // The timing wraps `handle` only when recording is on, so a
+            // metrics-off session takes zero clock reads per request.
             Ok(request) if obs.enabled() => {
                 let verb = request.verb();
                 let start_ns = obs.now_ns();
-                let response = shared.service.handle(request);
+                let response = service.handle(request);
                 let elapsed = obs.now_ns().saturating_sub(start_ns);
                 obs.record_verb(verb, elapsed);
                 obs.record_net_verb(verb, codec.label(), elapsed);
                 response
             }
-            Ok(request) => shared.service.handle(request),
+            Ok(request) => service.handle(request),
             Err(reason) => Response::Error {
                 reason,
                 code: "invalid_request".to_string(),
@@ -551,171 +596,36 @@ fn session_loop(
         };
         let bye = response == Response::Bye;
         if bye {
-            // `Shutdown` drains the whole front door: stop accepting,
-            // flush, exit. The flag flips before `Bye` is queued, so a
-            // client that has read its `Bye` always observes the drain.
-            shared.draining.store(true, Ordering::SeqCst);
+            // The drain flag flips before `Bye` is sent, so a client that
+            // has read its `Bye` always observes the drain.
+            drain.store(true, Ordering::SeqCst);
         }
-        if tx.send(encode_response_bytes(&response, codec)).is_err() {
-            // The writer died (client stopped reading and went away).
-            return SessionEnd::Torn(ServeError::Transport(
-                "response writer closed mid-session".to_string(),
-            ));
-        }
+        transport
+            .send(codec.encode_response(&response))
+            .map_err(|e| ServeError::Transport(format!("sending a response: {e}")))?;
         if bye {
-            return SessionEnd::Clean;
+            return Ok(());
         }
     }
 }
 
-/// Reads one request off the connection. `Ok(None)` is a clean close at
-/// a frame boundary; `Ok(Some(Err(reason)))` is a decodable-but-invalid
-/// request (answered with an `invalid_request` error, session
-/// continues); `Err` ends the session.
-#[allow(clippy::type_complexity)]
-fn read_request(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-    codec: Codec,
-) -> Result<Option<std::result::Result<Request, String>>, SessionEnd> {
-    match codec {
-        Codec::Json => read_json_request(reader, shared),
-        Codec::Binary => read_binary_request(reader, shared),
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn read_json_request(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-) -> Result<Option<std::result::Result<Request, String>>, SessionEnd> {
-    let mut line = Vec::new();
+/// Runs one framed read, retrying read timeouts at a frame boundary
+/// until it completes. `Ok(None)`: a drain is due and the session is
+/// idle, so it closes.
+fn poll<T>(
+    drain: &AtomicBool,
+    mut read: impl FnMut() -> io::Result<T>,
+) -> Result<Option<T>, ServeError> {
     loop {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => {
-                // EOF. Bytes without a newline are a half-written line.
-                return if line.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(SessionEnd::Torn(ServeError::Transport(format!(
-                        "connection closed mid-line after {} bytes",
-                        line.len()
-                    ))))
-                };
-            }
-            Ok(_) if line.ends_with(b"\n") => {
-                shared.obs().add_net_bytes_in(line.len() as u64);
-                let text = match std::str::from_utf8(&line) {
-                    Ok(text) => text.trim(),
-                    Err(_) => return Ok(Some(Err("request line is not UTF-8".into()))),
-                };
-                if text.is_empty() {
-                    line.clear();
-                    continue;
-                }
-                return Ok(Some(
-                    protocol::decode_request(text).map_err(|e| format!("bad request line: {e}")),
-                ));
-            }
-            Ok(_) => {
-                // Delimiter not reached before the buffer drained; keep
-                // reading the same line.
-            }
-            Err(e) if is_poll_timeout(&e) => {
-                if shared.draining() && line.is_empty() {
-                    return Err(SessionEnd::Drained);
+        match read() {
+            Ok(value) => return Ok(Some(value)),
+            Err(e) if wire::is_poll_timeout(&e) => {
+                if drain.load(Ordering::SeqCst) {
+                    return Ok(None);
                 }
             }
-            Err(e) => {
-                return Err(SessionEnd::Torn(ServeError::Transport(format!(
-                    "reading a request line: {e}"
-                ))))
-            }
+            Err(e) => return Err(ServeError::Transport(e.to_string())),
         }
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn read_binary_request(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-) -> Result<Option<std::result::Result<Request, String>>, SessionEnd> {
-    let mut header = [0u8; 4];
-    if !read_full(reader, shared, &mut header, true)? {
-        return Ok(None);
-    }
-    let body_len = wire::parse_header(header)
-        .map_err(|e| SessionEnd::Torn(ServeError::Transport(e.to_string())))?;
-    let mut body = vec![0u8; body_len];
-    // Mid-frame EOF below is a torn length prefix / truncated body.
-    read_full(reader, shared, &mut body, false)?;
-    shared.obs().add_net_bytes_in(4 + body_len as u64);
-    let (tag, payload) = wire::parse_body(&body)
-        .map_err(|e| SessionEnd::Torn(ServeError::Transport(e.to_string())))?;
-    match wire::decode_request_frame(tag, payload) {
-        Ok(request) => Ok(Some(Ok(request))),
-        // The frame passed its checksum but decodes to no valid
-        // request: answer `invalid_request` and keep the session, the
-        // transport itself is healthy (mirrors a bad JSON line).
-        Err(e) => Ok(Some(Err(format!("bad request frame: {e}")))),
-    }
-}
-
-/// Fills `buf` from the connection, polling the drain flag on read
-/// timeouts. Returns `Ok(false)` on a clean EOF before the first byte
-/// (only when `clean_eof_ok`); EOF after the first byte is a torn
-/// frame.
-fn read_full(
-    reader: &mut BufReader<Box<dyn SessionStream>>,
-    shared: &Arc<NetShared>,
-    buf: &mut [u8],
-    clean_eof_ok: bool,
-) -> Result<bool, SessionEnd> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 && clean_eof_ok {
-                    Ok(false)
-                } else {
-                    Err(SessionEnd::Torn(ServeError::Transport(format!(
-                        "connection closed mid-frame after {filled} of {} bytes",
-                        buf.len()
-                    ))))
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if is_poll_timeout(&e) => {
-                if shared.draining() && filled == 0 && clean_eof_ok {
-                    return Err(SessionEnd::Drained);
-                }
-            }
-            Err(e) => {
-                return Err(SessionEnd::Torn(ServeError::Transport(format!(
-                    "reading a frame: {e}"
-                ))))
-            }
-        }
-    }
-    Ok(true)
-}
-
-fn encode_response_bytes(response: &Response, codec: Codec) -> Vec<u8> {
-    match codec {
-        Codec::Json => {
-            let mut bytes = protocol::encode_response(response).into_bytes();
-            bytes.push(b'\n');
-            bytes
-        }
-        Codec::Binary => wire::encode_response_frame(response).unwrap_or_else(|e| {
-            // Unencodable responses are bounded-size errors by
-            // construction, so this fallback frame always encodes.
-            wire::encode_response_frame(&Response::Error {
-                reason: format!("response unencodable: {e}"),
-                code: "transport".to_string(),
-            })
-            .expect("a small error frame always encodes")
-        }),
     }
 }
 
@@ -771,10 +681,6 @@ impl NetClient {
             ListenAddr::Tcp(addr) => Box::new(TcpStream::connect(addr)?),
             ListenAddr::Unix(path) => Box::new(UnixStream::connect(path)?),
         };
-        Self::from_stream(stream, codec)
-    }
-
-    fn from_stream(stream: Box<dyn SessionStream>, codec: Codec) -> io::Result<Self> {
         let mut writer = stream.try_clone_stream()?;
         if codec == Codec::Binary {
             writer.write_all(&[wire::PREAMBLE])?;
@@ -794,48 +700,16 @@ impl NetClient {
     /// Sends one request without waiting for the response — the
     /// pipelining half; pair with [`NetClient::recv`] in request order.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        match self.codec {
-            Codec::Json => {
-                let mut line = protocol::encode_request(request).into_bytes();
-                line.push(b'\n');
-                self.writer.write_all(&line)
-            }
-            Codec::Binary => {
-                let frame = wire::encode_request_frame(request)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-                self.writer.write_all(&frame)
-            }
-        }
+        let bytes = self
+            .codec
+            .encode_request(request)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        self.writer.write_all(&bytes)
     }
 
     /// Receives one response (in request order).
     pub fn recv(&mut self) -> io::Result<Response> {
-        match self.codec {
-            Codec::Json => {
-                let mut line = String::new();
-                let n = self.reader.read_line(&mut line)?;
-                if n == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ));
-                }
-                protocol::decode_response(line.trim())
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-            }
-            Codec::Binary => {
-                let mut header = [0u8; 4];
-                self.reader.read_exact(&mut header)?;
-                let body_len = wire::parse_header(header)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                let mut body = vec![0u8; body_len];
-                self.reader.read_exact(&mut body)?;
-                let (tag, payload) = wire::parse_body(&body)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                wire::decode_response_frame(tag, payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-            }
-        }
+        self.codec.read_response(&mut self.reader)
     }
 
     /// One full round trip.

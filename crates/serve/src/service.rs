@@ -1831,45 +1831,24 @@ impl Service {
         }
     }
 
-    /// Drives a whole framed-JSON session: one request per input line, one
-    /// response per output line, until `Shutdown` or end of input.
-    /// Malformed lines produce `Error` responses and the session continues.
+    /// Drives a whole session over a reader and a writer — stdin and
+    /// stdout in the `serve` binary — through the same session driver as
+    /// every socket connection ([`crate::net`]): one framed-JSON request
+    /// per input line (or, after the [`crate::wire::PREAMBLE`] byte, one
+    /// binary frame per request), one response per request, until
+    /// `Shutdown` or end of input. Malformed requests produce
+    /// `invalid_request` errors and the session continues; a transport
+    /// failure (a line over the frame cap, a torn frame, a newline-free
+    /// tail that does not decode, a failed write) is answered with a
+    /// `transport` error and returned as `Err`.
     pub fn run_loop<R: BufRead, W: Write>(
         self: &Arc<Self>,
-        reader: R,
-        mut writer: W,
+        mut reader: R,
+        writer: W,
     ) -> std::io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let response = match crate::protocol::decode_request(trimmed) {
-                // Time every verb into its latency histogram. The timing
-                // wraps `handle` only when recording is on, so a
-                // metrics-off session takes zero clock reads per request.
-                Ok(request) if self.obs.enabled() => {
-                    let verb = request.verb();
-                    let start_ns = self.obs.now_ns();
-                    let response = self.handle(request);
-                    self.obs
-                        .record_verb(verb, self.obs.now_ns().saturating_sub(start_ns));
-                    response
-                }
-                Ok(request) => self.handle(request),
-                Err(error) => Response::Error {
-                    reason: format!("bad request line: {error}"),
-                    code: "invalid_request".to_string(),
-                },
-            };
-            writeln!(writer, "{}", crate::protocol::encode_response(&response))?;
-            writer.flush()?;
-            if response == Response::Bye {
-                break;
-            }
-        }
-        Ok(())
+        let drain = std::sync::atomic::AtomicBool::new(false);
+        crate::net::drive(self, &mut reader, &drain, &mut crate::net::Stdio(writer))
+            .map_err(|error| std::io::Error::other(error.to_string()))
     }
 }
 

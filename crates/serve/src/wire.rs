@@ -16,11 +16,20 @@
 //!
 //! ## Negotiation
 //!
-//! A connection's very first byte selects the codec: [`PREAMBLE`]
-//! (`0xB1`) switches the session to binary frames; any other first byte
-//! is the beginning of the first framed-JSON line (JSON lines start with
-//! `{` or `"`, which can never equal the preamble), so existing JSON
-//! clients connect unchanged.
+//! A session's very first byte — on a socket or on stdin — selects the
+//! codec: [`PREAMBLE`] (`0xB1`) switches the session to binary frames;
+//! any other first byte is the beginning of the first framed-JSON line
+//! (JSON lines start with `{` or `"`, which can never equal the
+//! preamble), so existing JSON clients connect unchanged.
+//!
+//! ## The codec seam
+//!
+//! [`Codec`] carries the four framed operations every transport and
+//! client shares — [`Codec::read_request`], [`Codec::encode_response`],
+//! [`Codec::encode_request`] and [`Codec::read_response`] — plus
+//! [`Codec::negotiate`]. A JSON frame is one line of at most
+//! [`MAX_FRAME_LEN`] bytes, the same bound a binary frame's length field
+//! has.
 //!
 //! ## Frame layout
 //!
@@ -74,6 +83,7 @@
 //! session layer maps onto `ServeError::Transport`.
 
 use crate::protocol::{self, EstimateDto, Request, Response};
+use std::io::{self, BufRead, Read};
 
 /// The one-byte connection preamble that switches a session to binary
 /// frames. JSON request lines start with `{` or `"`, so the first byte
@@ -291,21 +301,18 @@ fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
     Ok(())
 }
 
-fn put_opt<T>(
-    out: &mut Vec<u8>,
-    v: &Option<T>,
-    put: impl FnOnce(&mut Vec<u8>, &T) -> Result<()>,
-) -> Result<()> {
-    match v {
-        None => {
-            out.push(0);
-            Ok(())
-        }
-        Some(value) => {
-            out.push(1);
-            put(out, value)
-        }
+/// Writes an option flag and returns the value to write after it.
+fn put_flag<'a, T>(out: &mut Vec<u8>, v: &'a Option<T>) -> Option<&'a T> {
+    put_bool(out, v.is_some());
+    v.as_ref()
+}
+
+/// The optional `key` and `name` every hot request opens with.
+fn put_key_name(out: &mut Vec<u8>, key: &Option<u64>, name: &Option<String>) -> Result<()> {
+    if let Some(&key) = put_flag(out, key) {
+        put_u64(out, key);
     }
+    put_flag(out, name).map_or(Ok(()), |name| put_str(out, name))
 }
 
 /// A bounds-checked cursor over one frame payload. Every accessor
@@ -358,18 +365,13 @@ impl<'a> FieldReader<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(WireError::Malformed(format!("bool byte {other:#04x}"))),
+            other => Err(WireError::Malformed(format!("flag byte {other:#04x}"))),
         }
     }
 
-    fn flag(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::Malformed(format!(
-                "option flag byte {other:#04x}"
-            ))),
-        }
+    /// An option flag, then the value when the flag is set.
+    fn opt<T>(&mut self, read: fn(&mut Self) -> Result<T>) -> Result<Option<T>> {
+        self.bool()?.then(|| read(self)).transpose()
     }
 
     fn string(&mut self) -> Result<String> {
@@ -411,58 +413,18 @@ impl<'a> FieldReader<'a> {
         })
     }
 
+    /// A `u32` count, then that many 8-byte little-endian words.
     fn vec_u64(&mut self) -> Result<Vec<u64>> {
         let count = self.u32()? as usize;
         let bytes = self.take(
             count
                 .checked_mul(8)
-                .ok_or_else(|| WireError::Malformed("count-vector length overflows".into()))?,
+                .ok_or_else(|| WireError::Malformed("vector length overflows".into()))?,
         )?;
         Ok(bytes
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
             .collect())
-    }
-
-    fn vec_f64(&mut self) -> Result<Vec<f64>> {
-        let count = self.u32()? as usize;
-        let bytes = self.take(
-            count
-                .checked_mul(8)
-                .ok_or_else(|| WireError::Malformed("float-vector length overflows".into()))?,
-        )?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                f64::from_bits(u64::from_le_bytes([
-                    c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-                ]))
-            })
-            .collect())
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>> {
-        Ok(if self.flag()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>> {
-        Ok(if self.flag()? {
-            Some(self.f64()?)
-        } else {
-            None
-        })
-    }
-
-    fn opt_string(&mut self) -> Result<Option<String>> {
-        Ok(if self.flag()? {
-            Some(self.string()?)
-        } else {
-            None
-        })
     }
 
     fn finish(self) -> Result<()> {
@@ -608,32 +570,25 @@ pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
             counts,
             seed,
         } => {
-            put_opt(&mut frame, key, |out, v| {
-                put_u64(out, *v);
-                Ok(())
-            })?;
-            put_opt(&mut frame, name, |out, v| put_str(out, v))?;
-            put_opt(&mut frame, min_privacy, |out, v| {
-                put_f64(out, *v);
-                Ok(())
-            })?;
-            put_opt(&mut frame, records, |out, records| {
-                put_records(out, records)
-            })?;
-            put_opt(&mut frame, counts, |out, counts| {
+            put_key_name(&mut frame, key, name)?;
+            if let Some(&min_privacy) = put_flag(&mut frame, min_privacy) {
+                put_f64(&mut frame, min_privacy);
+            }
+            if let Some(records) = put_flag(&mut frame, records) {
+                put_records(&mut frame, records)?;
+            }
+            if let Some(counts) = put_flag(&mut frame, counts) {
                 let count = u32::try_from(counts.len()).map_err(|_| {
                     WireError::Unencodable(format!("count set of {} categories", counts.len()))
                 })?;
-                put_u32(out, count);
+                put_u32(&mut frame, count);
                 for &c in counts {
-                    put_u64(out, c);
+                    put_u64(&mut frame, c);
                 }
-                Ok(())
-            })?;
-            put_opt(&mut frame, seed, |out, v| {
-                put_u64(out, *v);
-                Ok(())
-            })?;
+            }
+            if let Some(&seed) = put_flag(&mut frame, seed) {
+                put_u64(&mut frame, seed);
+            }
             TAG_INGEST
         }
         Request::BestForPrivacy {
@@ -641,20 +596,12 @@ pub fn encode_request_frame(request: &Request) -> Result<Vec<u8>> {
             name,
             min_privacy,
         } => {
-            put_opt(&mut frame, key, |out, v| {
-                put_u64(out, *v);
-                Ok(())
-            })?;
-            put_opt(&mut frame, name, |out, v| put_str(out, v))?;
+            put_key_name(&mut frame, key, name)?;
             put_f64(&mut frame, *min_privacy);
             TAG_QUERY
         }
         Request::Estimate { key, name } => {
-            put_opt(&mut frame, key, |out, v| {
-                put_u64(out, *v);
-                Ok(())
-            })?;
-            put_opt(&mut frame, name, |out, v| put_str(out, v))?;
+            put_key_name(&mut frame, key, name)?;
             TAG_ESTIMATE
         }
         other => {
@@ -671,25 +618,21 @@ pub fn decode_request_frame(tag: u8, payload: &[u8]) -> Result<Request> {
     let mut r = FieldReader::new(payload);
     let request = match tag {
         TAG_INGEST => Request::Ingest {
-            key: r.opt_u64()?,
-            name: r.opt_string()?,
-            min_privacy: r.opt_f64()?,
-            records: if r.flag()? {
-                Some(r.packed_records()?)
-            } else {
-                None
-            },
-            counts: if r.flag()? { Some(r.vec_u64()?) } else { None },
-            seed: r.opt_u64()?,
+            key: r.opt(FieldReader::u64)?,
+            name: r.opt(FieldReader::string)?,
+            min_privacy: r.opt(FieldReader::f64)?,
+            records: r.opt(FieldReader::packed_records)?,
+            counts: r.opt(FieldReader::vec_u64)?,
+            seed: r.opt(FieldReader::u64)?,
         },
         TAG_QUERY => Request::BestForPrivacy {
-            key: r.opt_u64()?,
-            name: r.opt_string()?,
+            key: r.opt(FieldReader::u64)?,
+            name: r.opt(FieldReader::string)?,
             min_privacy: r.f64()?,
         },
         TAG_ESTIMATE => Request::Estimate {
-            key: r.opt_u64()?,
-            name: r.opt_string()?,
+            key: r.opt(FieldReader::u64)?,
+            name: r.opt(FieldReader::string)?,
         },
         TAG_JSON_REQUEST => {
             let text = std::str::from_utf8(payload)
@@ -735,7 +678,7 @@ fn read_estimate_dto(r: &mut FieldReader<'_>) -> Result<EstimateDto> {
     Ok(EstimateDto {
         key: r.u64()?,
         method: r.string()?,
-        distribution: r.vec_f64()?,
+        distribution: r.vec_u64()?.into_iter().map(f64::from_bits).collect(),
         iterations: r.u64()?,
         residual: r.f64()?,
         mse_vs_prior: r.f64()?,
@@ -905,33 +848,210 @@ pub fn decode_response_frame(tag: u8, payload: &[u8]) -> Result<Response> {
     Ok(response)
 }
 
-/// Decodes one complete frame (as produced by [`encode_frame`]) into
-/// its tag and payload — the buffer-level entry point tests and the
-/// client use; sessions read the header and body separately so a torn
-/// prefix is detected at the exact read that hit it.
-pub fn decode_frame(frame: &[u8]) -> Result<(u8, Vec<u8>)> {
-    if frame.len() < 4 {
-        return Err(WireError::Truncated {
-            expected: 4,
-            got: frame.len(),
-        });
+// ---- the codec seam: one framed read or write per call ----------------------
+
+/// One frame read off a request stream by [`Codec::read_request`].
+#[derive(Debug)]
+pub enum Inbound {
+    /// A whole frame: the request it decodes to, or why it is none (the
+    /// session answers `invalid_request` and continues).
+    Frame(std::result::Result<Request, String>),
+    /// A blank JSON line, which carries no request.
+    Blank,
+    /// The stream ended at a frame boundary.
+    End,
+}
+
+/// Whether a read error is a socket's read timeout (or an interrupted
+/// read) rather than a failure: the stream is intact and may be read
+/// again.
+pub(crate) fn is_poll_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
+fn invalid_data(e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// Every framed read below follows one error discipline: a read timeout
+/// before the frame's first byte is returned as is (nothing consumed, so
+/// the caller may poll a drain flag and read again); a timeout inside a
+/// frame is retried; EOF inside a frame is [`io::ErrorKind::UnexpectedEof`].
+impl Codec {
+    /// Reads a session's first byte and selects its codec: [`PREAMBLE`]
+    /// is consumed and selects binary frames; any other byte is left in
+    /// place as the start of the first JSON line. `Ok(None)` is a stream
+    /// that ended before its first byte.
+    pub fn negotiate<R: BufRead>(reader: &mut R) -> io::Result<Option<Codec>> {
+        let first = reader.fill_buf()?.first().copied();
+        Ok(first.map(|byte| {
+            if byte == PREAMBLE {
+                reader.consume(1);
+                Codec::Binary
+            } else {
+                Codec::Json
+            }
+        }))
     }
-    let body_len = parse_header([frame[0], frame[1], frame[2], frame[3]])?;
-    let body = &frame[4..];
-    if body.len() < body_len {
-        return Err(WireError::Truncated {
-            expected: body_len,
-            got: body.len(),
-        });
+
+    /// Reads and decodes one request frame. A JSON line longer than
+    /// [`MAX_FRAME_LEN`] bytes, a bad frame header or checksum, and EOF
+    /// inside a frame are errors: the stream can no longer be trusted. A
+    /// newline-free JSON tail at EOF is the last request if it decodes
+    /// and an [`io::ErrorKind::UnexpectedEof`] error if it does not.
+    pub fn read_request<R: BufRead>(self, reader: &mut R) -> io::Result<Inbound> {
+        match self {
+            Codec::Json => {
+                let Some(line) = read_line(reader)? else {
+                    return Ok(Inbound::End);
+                };
+                let request = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => return Ok(Inbound::Blank),
+                    Ok(text) => protocol::decode_request(text.trim())
+                        .map_err(|e| format!("bad request line: {e}")),
+                    Err(_) => Err("request line is not UTF-8".to_string()),
+                };
+                match request {
+                    Err(reason) if !line.ends_with(b"\n") => Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        format!(
+                            "stream ended mid-line after {} bytes ({reason})",
+                            line.len()
+                        ),
+                    )),
+                    request => Ok(Inbound::Frame(request)),
+                }
+            }
+            Codec::Binary => {
+                let Some(body) = read_frame(reader)? else {
+                    return Ok(Inbound::End);
+                };
+                let (tag, payload) = parse_body(&body).map_err(invalid_data)?;
+                // A frame that passed its checksum but decodes to no
+                // valid request leaves the transport healthy, like a bad
+                // JSON line.
+                Ok(Inbound::Frame(
+                    decode_request_frame(tag, payload)
+                        .map_err(|e| format!("bad request frame: {e}")),
+                ))
+            }
+        }
     }
-    if body.len() > body_len {
-        return Err(WireError::Malformed(format!(
-            "{} trailing bytes after frame",
-            body.len() - body_len
-        )));
+
+    /// Encodes one response as it goes on the wire: a JSON line with its
+    /// newline, or one binary frame.
+    pub fn encode_response(self, response: &Response) -> Vec<u8> {
+        match self {
+            Codec::Json => {
+                let mut line = protocol::encode_response(response).into_bytes();
+                line.push(b'\n');
+                line
+            }
+            Codec::Binary => encode_response_frame(response).unwrap_or_else(|e| {
+                // Unencodable responses are bounded-size errors by
+                // construction, so this fallback frame always encodes.
+                encode_response_frame(&Response::Error {
+                    reason: format!("response unencodable: {e}"),
+                    code: "transport".to_string(),
+                })
+                .expect("a small error frame always encodes")
+            }),
+        }
     }
-    let (tag, payload) = parse_body(body)?;
-    Ok((tag, payload.to_vec()))
+
+    /// Encodes one request as it goes on the wire: a JSON line with its
+    /// newline, or one binary frame.
+    pub fn encode_request(self, request: &Request) -> Result<Vec<u8>> {
+        match self {
+            Codec::Json => {
+                let mut line = protocol::encode_request(request).into_bytes();
+                line.push(b'\n');
+                Ok(line)
+            }
+            Codec::Binary => encode_request_frame(request),
+        }
+    }
+
+    /// Reads and decodes one response frame; EOF before it is
+    /// [`io::ErrorKind::UnexpectedEof`].
+    pub fn read_response<R: BufRead>(self, reader: &mut R) -> io::Result<Response> {
+        let closed = || io::Error::new(io::ErrorKind::UnexpectedEof, "stream closed");
+        match self {
+            Codec::Json => {
+                let line = read_line(reader)?.ok_or_else(closed)?;
+                let text = std::str::from_utf8(&line).map_err(invalid_data)?;
+                protocol::decode_response(text.trim()).map_err(invalid_data)
+            }
+            Codec::Binary => {
+                let body = read_frame(reader)?.ok_or_else(closed)?;
+                let (tag, payload) = parse_body(&body).map_err(invalid_data)?;
+                decode_response_frame(tag, payload).map_err(invalid_data)
+            }
+        }
+    }
+}
+
+/// Reads one line, newline included, of at most [`MAX_FRAME_LEN`] bytes
+/// before the newline. `Ok(None)` is EOF before any byte; at EOF a
+/// non-empty newline-free tail is returned as is.
+fn read_line<R: BufRead>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
+    let mut line = Vec::new();
+    loop {
+        // At most one byte past the cap, so an over-long line is caught
+        // without reading on.
+        let room = u64::from(MAX_FRAME_LEN) + 1 - line.len() as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
+            Err(e) if is_poll_timeout(&e) && !line.is_empty() => continue,
+            Err(e) => return Err(e),
+            Ok(_) => {}
+        }
+        if line.len() > MAX_FRAME_LEN as usize && !line.ends_with(b"\n") {
+            return Err(invalid_data(format!(
+                "line exceeds the {MAX_FRAME_LEN}-byte cap"
+            )));
+        }
+        return Ok((!line.is_empty()).then_some(line));
+    }
+}
+
+/// Reads one binary frame's body (tag + payload + CRC, CRC unchecked)
+/// after validating its length prefix. `Ok(None)` is EOF before the
+/// frame's first byte.
+fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
+    let mut header = [0u8; 4];
+    if !fill(reader, &mut header, true)? {
+        return Ok(None);
+    }
+    let mut body = vec![0u8; parse_header(header).map_err(invalid_data)?];
+    fill(reader, &mut body, false)?;
+    Ok(Some(body))
+}
+
+/// Fills `buf`. Returns `Ok(false)` on EOF before the first byte when
+/// `frame_start` (the buffer opens a frame); any other EOF is torn.
+fn fill<R: Read>(reader: &mut R, buf: &mut [u8], frame_start: bool) -> io::Result<bool> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 && frame_start => return Ok(false),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!(
+                        "stream ended mid-frame after {filled} of {} bytes",
+                        buf.len()
+                    ),
+                ))
+            }
+            Ok(n) => filled += n,
+            Err(e) if is_poll_timeout(&e) && (filled > 0 || !frame_start) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -940,6 +1060,33 @@ mod tests {
     use crate::protocol::MatrixDto;
     use proptest::prelude::*;
     use rr::schemes::warner;
+
+    /// Decodes one complete frame (as produced by [`encode_frame`]) into
+    /// its tag and payload, with a typed error for every malformed buffer.
+    fn decode_frame(frame: &[u8]) -> Result<(u8, Vec<u8>)> {
+        if frame.len() < 4 {
+            return Err(WireError::Truncated {
+                expected: 4,
+                got: frame.len(),
+            });
+        }
+        let body_len = parse_header([frame[0], frame[1], frame[2], frame[3]])?;
+        let body = &frame[4..];
+        if body.len() < body_len {
+            return Err(WireError::Truncated {
+                expected: body_len,
+                got: body.len(),
+            });
+        }
+        if body.len() > body_len {
+            return Err(WireError::Malformed(format!(
+                "{} trailing bytes after frame",
+                body.len() - body_len
+            )));
+        }
+        let (tag, payload) = parse_body(body)?;
+        Ok((tag, payload.to_vec()))
+    }
 
     fn round_trip_request(request: &Request) -> Request {
         let frame = encode_request_frame(request).expect("encodes");

@@ -14,6 +14,7 @@
 use serve::net::{ListenAddr, NetClient, NetConfig, NetServer};
 use serve::wire::Codec;
 use serve::{FaultPlan, Request, Response, Service, ServiceConfig};
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 const PRIOR: [f64; 5] = [0.35, 0.25, 0.2, 0.12, 0.08];
@@ -587,6 +588,125 @@ fn a_retired_layout_ingest_frame_is_an_invalid_request_and_the_session_survives(
         panic!("expected Ingested, got {response:?}");
     };
     assert_eq!((total, batches), (4, 1));
+    server.request_drain();
+    server.wait();
+}
+
+/// A session whose every response is deterministic: the ingested records
+/// match the prior exactly, so the estimate stays far below the drift
+/// threshold and no background refresh can race the `Stats` readout.
+fn parity_script() -> Vec<Request> {
+    let records = PRIOR
+        .iter()
+        .enumerate()
+        .flat_map(|(category, p)| std::iter::repeat(category).take((p * 2000.0).round() as usize))
+        .collect();
+    vec![
+        register_request("demo"),
+        ingest_request("demo", records, 9),
+        Request::Estimate {
+            key: None,
+            name: Some("demo".into()),
+        },
+        Request::BestForPrivacy {
+            key: None,
+            name: Some("demo".into()),
+            min_privacy: 0.05,
+        },
+        Request::Stats {
+            key: None,
+            name: None,
+        },
+        Request::Shutdown,
+    ]
+}
+
+/// The script as a client of `codec` puts it on the wire, preamble included.
+fn parity_input(codec: Codec) -> Vec<u8> {
+    let mut input = if codec == Codec::Binary {
+        vec![serve::wire::PREAMBLE]
+    } else {
+        Vec::new()
+    };
+    for request in parity_script() {
+        input.extend(codec.encode_request(&request).unwrap());
+    }
+    input
+}
+
+/// The script through `Service::run_loop`, as the raw response bytes.
+fn stdin_parity_bytes(codec: Codec) -> Vec<u8> {
+    let service = Arc::new(Service::new(ServiceConfig::smoke(2008)));
+    let mut output = Vec::new();
+    service
+        .run_loop(&parity_input(codec)[..], &mut output)
+        .unwrap();
+    output
+}
+
+fn decode_all(codec: Codec, mut bytes: &[u8]) -> Vec<Response> {
+    let mut responses = Vec::new();
+    while !bytes.is_empty() {
+        responses.push(codec.read_response(&mut bytes).unwrap());
+    }
+    responses
+}
+
+#[test]
+fn a_stdin_session_answers_like_a_socket_session_on_both_codecs() {
+    // JSON: the raw response bytes of the socket session, read to EOF,
+    // equal the stdin session's byte for byte.
+    let server = tcp_server(ServiceConfig::smoke(2008), |net| net);
+    let ListenAddr::Tcp(addr) = server.listen_addr() else {
+        unreachable!()
+    };
+    let mut socket = std::net::TcpStream::connect(addr).unwrap();
+    socket.write_all(&parity_input(Codec::Json)).unwrap();
+    let mut socket_bytes = Vec::new();
+    socket.read_to_end(&mut socket_bytes).unwrap();
+    server.wait();
+    let stdin_bytes = stdin_parity_bytes(Codec::Json);
+    assert_eq!(
+        String::from_utf8(stdin_bytes.clone()).unwrap(),
+        String::from_utf8(socket_bytes).unwrap()
+    );
+    let json = decode_all(Codec::Json, &stdin_bytes);
+    assert_eq!(json.len(), 6);
+    let Response::Estimated { stats } = &json[2] else {
+        panic!("expected Estimated, got {:?}", json[2]);
+    };
+    assert!(!stats.drifted && !stats.stale, "the script must not drift");
+    assert!(matches!(json[3], Response::Matrix { .. }));
+    assert!(matches!(json[4], Response::ServiceStats { .. }));
+    assert_eq!(json[5], Response::Bye);
+
+    // Binary: stdin accepts the preamble, and its frames decode to the
+    // binary socket session's responses.
+    let server = tcp_server(ServiceConfig::smoke(2008), |net| net);
+    let mut client = NetClient::connect(&server.listen_addr(), Codec::Binary).unwrap();
+    let socket_responses: Vec<Response> = parity_script()
+        .iter()
+        .map(|request| client.request(request).unwrap())
+        .collect();
+    server.wait();
+    let binary = decode_all(Codec::Binary, &stdin_parity_bytes(Codec::Binary));
+    assert_eq!(binary, socket_responses);
+    assert_eq!(binary, json, "both codecs answer the same session alike");
+}
+
+#[test]
+fn a_newline_free_tail_that_decodes_is_a_sockets_last_request() {
+    let server = tcp_server(ServiceConfig::smoke(52), |net| net);
+    let ListenAddr::Tcp(addr) = server.listen_addr() else {
+        unreachable!()
+    };
+    let mut socket = std::net::TcpStream::connect(addr).unwrap();
+    socket.write_all(br#"{"Stats":{}}"#).unwrap();
+    socket.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut answer = String::new();
+    socket.read_to_string(&mut answer).unwrap();
+    let response = serve::protocol::decode_response(answer.trim()).unwrap();
+    assert!(matches!(response, Response::ServiceStats { .. }));
     server.request_drain();
     server.wait();
 }

@@ -231,3 +231,66 @@ fn too_deep_json_on_stdin_is_an_invalid_request_and_the_loop_continues() {
     assert!(matches!(decoded[1], serve::Response::ServiceStats { .. }));
     assert_eq!(decoded[2], serve::Response::Bye);
 }
+
+/// Runs `input` through `run_loop` and decodes every JSON response line.
+fn stdin_session(input: &[u8]) -> (std::io::Result<()>, Vec<serve::Response>) {
+    let service = smoke_service(92);
+    let mut output = Vec::new();
+    let result = service.run_loop(input, &mut output);
+    let decoded = String::from_utf8(output)
+        .unwrap()
+        .lines()
+        .map(|l| serve::protocol::decode_response(l).expect("valid response line"))
+        .collect();
+    (result, decoded)
+}
+
+fn error_code(response: &serve::Response) -> &str {
+    let serve::Response::Error { code, .. } = response else {
+        panic!("expected an error, got {response:?}");
+    };
+    code
+}
+
+#[test]
+fn a_non_utf8_line_on_stdin_is_an_invalid_request_and_the_loop_continues() {
+    let (result, decoded) = stdin_session(b"\xff\n{\"Stats\":{}}\n\"Shutdown\"\n");
+    result.expect("a malformed line does not end the session");
+    assert_eq!(decoded.len(), 3);
+    assert_eq!(error_code(&decoded[0]), "invalid_request");
+    assert!(matches!(decoded[1], serve::Response::ServiceStats { .. }));
+    assert_eq!(decoded[2], serve::Response::Bye);
+}
+
+#[test]
+fn a_line_over_the_frame_cap_ends_the_stdin_session_with_a_transport_error() {
+    use std::io::Read;
+    let service = smoke_service(93);
+    let endless = std::io::repeat(b'x').take(u64::from(serve::wire::MAX_FRAME_LEN) + 1);
+    let mut output = Vec::new();
+    let result = service.run_loop(std::io::BufReader::new(endless), &mut output);
+    assert!(result.is_err(), "the capped line tears the session");
+    let text = String::from_utf8(output).unwrap();
+    let decoded: Vec<serve::Response> = text
+        .lines()
+        .map(|l| serve::protocol::decode_response(l).expect("valid response line"))
+        .collect();
+    assert_eq!(decoded.len(), 1);
+    assert_eq!(error_code(&decoded[0]), "transport");
+}
+
+#[test]
+fn a_newline_free_tail_is_the_last_request_if_it_decodes_and_torn_if_not() {
+    let (result, decoded) = stdin_session(b"{\"Stats\":{}}\n{\"Stats\":{}}");
+    result.expect("a decodable tail is a clean end");
+    assert_eq!(decoded.len(), 2);
+    assert!(decoded
+        .iter()
+        .all(|r| matches!(r, serve::Response::ServiceStats { .. })));
+
+    let (result, decoded) = stdin_session(b"{\"Stats\":{}}\n{\"Estimate\":{\"name\":\"to");
+    assert!(result.is_err(), "a half-written tail tears the session");
+    assert_eq!(decoded.len(), 2);
+    assert!(matches!(decoded[0], serve::Response::ServiceStats { .. }));
+    assert_eq!(error_code(&decoded[1]), "transport");
+}
