@@ -24,7 +24,10 @@
 //! Usage: `cargo run -p optrr-bench --release --bin bench_fitness
 //!  [-- --generations G --survival-percent P | --smoke]`
 
-use bench_support::{arg_value, summarize_ns, TimingSummary, DEFAULT_WARMUP_ITERS};
+use bench_support::{
+    arg_value, flag, summarize_ns, workspace_root, write_baseline, TimingSummary,
+    DEFAULT_WARMUP_ITERS,
+};
 use emoo::kernel::FitnessKernel;
 use emoo::{assign_fitness, Individual, Objectives};
 use rand::rngs::StdRng;
@@ -32,28 +35,11 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::time::Instant;
 
-/// One measured series, in the same row shape as the other BENCH files.
+/// One measured series.
 #[derive(Serialize)]
 struct Entry {
     name: String,
-    mean_ns: u64,
-    p50_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    iterations: u64,
-}
-
-impl Entry {
-    fn new(name: String, timing: TimingSummary) -> Self {
-        Self {
-            name,
-            mean_ns: timing.mean_ns,
-            p50_ns: timing.p50_ns,
-            min_ns: timing.min_ns,
-            max_ns: timing.max_ns,
-            iterations: timing.iterations,
-        }
-    }
+    timing: TimingSummary,
 }
 
 /// The emitted baseline: per-series rows plus the headline speedups the
@@ -63,8 +49,6 @@ struct FitnessBaseline {
     generations: usize,
     warmup_generations: usize,
     survival: f64,
-    /// The kernel threshold the calibrated series ran with.
-    calibrated_min_pairs: usize,
     entries: Vec<Entry>,
     speedup_incremental: Vec<SpeedupEntry>,
 }
@@ -138,7 +122,7 @@ fn run_series(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = flag("--smoke");
     let generations = arg_value("--generations").unwrap_or(if smoke { 6 } else { 40 });
     let warmup = DEFAULT_WARMUP_ITERS;
     let survival_percent = arg_value("--survival-percent").unwrap_or(50).min(95);
@@ -147,11 +131,7 @@ fn main() {
 
     // Install the startup-calibrated kernel threshold (or the OPTRR_TUNE
     // override) before any FitnessKernel::new() below reads it.
-    let tuning = optrr::tuning();
-    println!(
-        "tuning: kernel_min_pairs={} batch_min_work={} calibrated={}",
-        tuning.kernel_min_pairs, tuning.batch_min_work, tuning.calibrated
-    );
+    optrr::tuning();
 
     let mut entries = Vec::new();
     let mut speedups = Vec::new();
@@ -213,50 +193,30 @@ fn main() {
             forced.p50_ns,
         );
 
-        let speedup = scratch.p50_ns as f64 / serial.p50_ns.max(1) as f64;
-        let speedup_calibrated = scratch.p50_ns as f64 / calibrated.p50_ns.max(1) as f64;
-        let speedup_forced = scratch.p50_ns as f64 / forced.p50_ns.max(1) as f64;
-        println!(
-            "n={n:<4} survivors={survivors:<4} scratch {:>9} ns  serial {:>9} ns ({speedup:.2}x)  calibrated {:>9} ns ({speedup_calibrated:.2}x)  forced-parallel {:>9} ns ({speedup_forced:.2}x)",
-            scratch.p50_ns, serial.p50_ns, calibrated.p50_ns, forced.p50_ns
-        );
+        let over = |timing: TimingSummary| scratch.p50_ns as f64 / timing.p50_ns.max(1) as f64;
         speedups.push(SpeedupEntry {
             n,
-            scratch_over_incremental: speedup,
-            scratch_over_incremental_parallel: speedup_calibrated,
-            scratch_over_forced_parallel: speedup_forced,
+            scratch_over_incremental: over(serial),
+            scratch_over_incremental_parallel: over(calibrated),
+            scratch_over_forced_parallel: over(forced),
         });
-        entries.push(Entry::new(format!("fitness_scratch/n{n}"), scratch));
-        entries.push(Entry::new(
-            format!("fitness_incremental_serial/n{n}"),
-            serial,
-        ));
-        entries.push(Entry::new(
-            format!("fitness_incremental_parallel/n{n}"),
-            calibrated,
-        ));
-        entries.push(Entry::new(
-            format!("fitness_incremental_forced_parallel/n{n}"),
-            forced,
-        ));
+        for (series, timing) in [
+            ("scratch", scratch),
+            ("incremental_serial", serial),
+            ("incremental_parallel", calibrated),
+            ("incremental_forced_parallel", forced),
+        ] {
+            let name = format!("fitness_{series}/n{n}");
+            entries.push(Entry { name, timing });
+        }
     }
 
-    if smoke {
-        println!("smoke mode: skipping BENCH_fitness.json baseline write");
-        return;
-    }
     let baseline = FitnessBaseline {
         generations,
         warmup_generations: warmup,
         survival: survival_percent as f64 / 100.0,
-        calibrated_min_pairs: emoo::kernel::default_parallel_min_pairs(),
         entries,
         speedup_incremental: speedups,
     };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fitness.json");
-    match std::fs::write(path, json + "\n") {
-        Ok(()) => println!("wrote baseline {path}"),
-        Err(error) => eprintln!("warning: could not write {path}: {error}"),
-    }
+    write_baseline(&workspace_root(), "fitness", smoke, &baseline);
 }

@@ -1,59 +1,43 @@
 //! Microbenchmark of the hot-path kernels: alias-table disguise sampling,
-//! blocked matrix multiply, slice-based LU, and the fitness-kernel fill at
-//! the calibrated parallel threshold.
+//! blocked matrix multiply, slice-based LU, the fitness-kernel fill at the
+//! calibrated parallel threshold, and batched candidate evaluation.
 //!
 //! Every optimized kernel is timed against the reference implementation it
-//! replaced (`rr::disguise_dataset_reference`, `linalg::reference`), with
-//! shared warm-up discipline and p50-over-p50 speedups. Results land in
-//! `BENCH_kernels.json` at the workspace root.
+//! replaced (`rr::disguise_dataset_reference`, `linalg::reference`), and
+//! every parallel path against its serial twin after asserting the two
+//! bitwise equal, with shared warm-up discipline and p50-over-p50
+//! speedups. Results land in `BENCH_kernels.json` at the workspace root.
 //!
 //! Usage: `cargo run -p optrr-bench --release --bin bench_kernels
 //!  [-- --smoke | --report]`
 //!
 //! `--smoke` runs a fast pass without writing the baseline; `--report`
-//! does no measuring at all — it parses the committed `BENCH_*.json`
-//! files and prints their headline speedup lines (report-only; missing
-//! files are noted, never fatal), which is what the CI perf-delta step
-//! runs.
+//! does no measuring at all — it prints the headline lines of every
+//! committed `BENCH_*.json` (report-only; missing files are noted, never
+//! fatal), which is what the CI perf-delta step runs.
 
-use bench_support::{summarize_ns, time_iterations, TimingSummary, DEFAULT_WARMUP_ITERS};
+use bench_support::{
+    flag, summarize_ns, time_iterations, workspace_root, write_baseline, TimingSummary,
+    DEFAULT_WARMUP_ITERS,
+};
 use datagen::CategoricalDataset;
 use emoo::kernel::FitnessKernel;
 use emoo::{Individual, Objectives};
 use linalg::{LuDecomposition, Matrix};
+use optrr::{OptrrConfig, OptrrProblem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rr::RrMatrix;
 use serde::Serialize;
 
+/// A reference implementation timed against the optimized kernel that
+/// replaced it.
 #[derive(Serialize)]
-struct SamplerRow {
-    n: usize,
-    draws: usize,
-    naive: TimingSummary,
-    alias: TimingSummary,
-    naive_draws_per_sec: u64,
-    alias_draws_per_sec: u64,
-    /// Inverse-CDF p50 over alias p50 — ≥ 1 means the alias table wins.
-    alias_over_naive: f64,
-}
-
-#[derive(Serialize)]
-struct DisguiseRow {
-    n: usize,
-    records: usize,
-    naive: TimingSummary,
-    alias: TimingSummary,
-    naive_records_per_sec: u64,
-    alias_records_per_sec: u64,
-    /// Naive p50 over alias p50 — ≥ 1 means the alias table wins.
-    alias_over_naive: f64,
-}
-
-#[derive(Serialize)]
-struct LinalgRow {
+struct VersusRow {
     n: usize,
     naive: TimingSummary,
     optimized: TimingSummary,
+    /// Naive p50 over optimized p50 — ≥ 1 means the optimized kernel wins.
     optimized_over_naive: f64,
 }
 
@@ -67,29 +51,57 @@ struct KernelFillRow {
     serial_over_parallel: f64,
 }
 
+/// One generation's batch of `matrices` candidate n×n matrices through
+/// `OptrrProblem::evaluate_matrices`.
 #[derive(Serialize)]
-struct TuningRow {
-    kernel_min_pairs: usize,
-    batch_min_work: usize,
-    calibrated: bool,
+struct BatchEvaluationRow {
+    n: usize,
+    matrices: usize,
+    serial: TimingSummary,
+    /// Parallel at any batch size (`batch_min_work` 0).
+    parallel: TimingSummary,
+    /// Parallel above the installed `batch_min_work` — the engines' path.
+    calibrated: TimingSummary,
+    /// Every matrix already in the evaluation cache.
+    cached: TimingSummary,
+    serial_over_parallel: f64,
+    serial_over_calibrated: f64,
 }
 
 #[derive(Serialize)]
 struct KernelsBaseline {
-    tuning: TuningRow,
-    sampler: Vec<SamplerRow>,
-    disguise: Vec<DisguiseRow>,
-    matmul: Vec<LinalgRow>,
-    lu: Vec<LinalgRow>,
+    /// Draws per `sampler` iteration and records per `disguise` iteration.
+    alias_items: usize,
+    /// Inverse-CDF (naive) vs alias-table (optimized) draws.
+    sampler: Vec<VersusRow>,
+    /// Cached-CDF (naive) vs alias-table (optimized) whole-dataset disguise.
+    disguise: Vec<VersusRow>,
+    matmul: Vec<VersusRow>,
+    lu: Vec<VersusRow>,
     kernel_fill: Vec<KernelFillRow>,
+    batch_evaluation: Vec<BatchEvaluationRow>,
 }
 
 fn ratio(reference_p50: u64, optimized_p50: u64) -> f64 {
     reference_p50 as f64 / optimized_p50.max(1) as f64
 }
 
-fn records_per_sec(records: usize, p50_ns: u64) -> u64 {
-    (records as f64 * 1e9 / p50_ns.max(1) as f64) as u64
+/// Times `naive`, then `optimized`, with the shared warm-up discipline.
+fn versus(
+    n: usize,
+    warmup: usize,
+    iters: usize,
+    naive: impl FnMut(),
+    optimized: impl FnMut(),
+) -> VersusRow {
+    let naive = summarize_ns(&time_iterations(warmup, iters, naive));
+    let optimized = summarize_ns(&time_iterations(warmup, iters, optimized));
+    VersusRow {
+        n,
+        optimized_over_naive: ratio(naive.p50_ns, optimized.p50_ns),
+        naive,
+        optimized,
+    }
 }
 
 /// Times the bare per-draw sampling kernels — O(log n) inverse-CDF binary
@@ -97,64 +109,48 @@ fn records_per_sec(records: usize, p50_ns: u64) -> u64 {
 /// built outside the timed region. This is the per-record cost the alias
 /// table buys; [`disguise_series`] measures the whole path around it
 /// (sampler build, record loop, outcome collection).
-fn sampler_series(n: usize, draws: usize, warmup: usize, iters: usize) -> SamplerRow {
+fn sampler_series(n: usize, draws: usize, warmup: usize, iters: usize) -> VersusRow {
     let m = rr::schemes::warner(n, 0.6).expect("warner matrix");
     let column = m.randomization_distribution(n / 2).expect("column");
     let table = rr::AliasTable::from_distribution(&column);
-    let mut rng = StdRng::seed_from_u64(17);
-    let naive = summarize_ns(&time_iterations(warmup, iters, || {
-        let mut acc = 0usize;
-        for _ in 0..draws {
-            acc ^= column.sample(&mut rng);
-        }
-        std::hint::black_box(acc);
-    }));
-    let mut rng = StdRng::seed_from_u64(17);
-    let alias = summarize_ns(&time_iterations(warmup, iters, || {
-        let mut acc = 0usize;
-        for _ in 0..draws {
-            acc ^= table.sample(&mut rng);
-        }
-        std::hint::black_box(acc);
-    }));
-    SamplerRow {
+    let (mut naive_rng, mut alias_rng) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
+    versus(
         n,
-        draws,
-        naive_draws_per_sec: records_per_sec(draws, naive.p50_ns),
-        alias_draws_per_sec: records_per_sec(draws, alias.p50_ns),
-        alias_over_naive: ratio(naive.p50_ns, alias.p50_ns),
-        naive,
-        alias,
-    }
+        warmup,
+        iters,
+        || {
+            let acc = (0..draws).fold(0, |acc, _| acc ^ column.sample(&mut naive_rng));
+            std::hint::black_box(acc);
+        },
+        || {
+            let acc = (0..draws).fold(0, |acc, _| acc ^ table.sample(&mut alias_rng));
+            std::hint::black_box(acc);
+        },
+    )
 }
 
 /// Times alias-table vs cached-CDF disguise over a cyclic record stream.
 /// Both paths rebuild their per-column samplers inside the timed region —
 /// the build is part of each path's real cost — and draw exactly one
 /// uniform per record.
-fn disguise_series(n: usize, records: usize, warmup: usize, iters: usize) -> DisguiseRow {
+fn disguise_series(n: usize, records: usize, warmup: usize, iters: usize) -> VersusRow {
     let m = rr::schemes::warner(n, 0.6).expect("warner matrix");
     let data = CategoricalDataset::new(n, (0..records).map(|i| i % n).collect())
         .expect("cyclic records are in range");
-    let mut rng = StdRng::seed_from_u64(11);
-    let naive = summarize_ns(&time_iterations(warmup, iters, || {
-        let out = rr::disguise_dataset_reference(&m, &data, &mut rng).expect("disguise");
-        std::hint::black_box(out.retained);
-    }));
-    let mut rng = StdRng::seed_from_u64(11);
-    let alias = summarize_ns(&time_iterations(warmup, iters, || {
-        let out = rr::disguise_dataset(&m, &data, &mut rng).expect("disguise");
-        std::hint::black_box(out.retained);
-    }));
-    DisguiseRow {
+    let (mut naive_rng, mut alias_rng) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+    versus(
         n,
-        records,
-        naive_records_per_sec: records_per_sec(records, naive.p50_ns),
-        alias_records_per_sec: records_per_sec(records, alias.p50_ns),
-        alias_over_naive: ratio(naive.p50_ns, alias.p50_ns),
-        naive,
-        alias,
-    }
+        warmup,
+        iters,
+        || {
+            let out = rr::disguise_dataset_reference(&m, &data, &mut naive_rng);
+            std::hint::black_box(out.expect("disguise").retained);
+        },
+        || {
+            let out = rr::disguise_dataset(&m, &data, &mut alias_rng);
+            std::hint::black_box(out.expect("disguise").retained);
+        },
+    )
 }
 
 /// A deterministic dense test matrix with exact zeros sprinkled in so the
@@ -170,23 +166,22 @@ fn dense(rows: usize, cols: usize, salt: u64) -> Matrix {
     m
 }
 
-fn matmul_series(n: usize, warmup: usize, iters: usize) -> LinalgRow {
+fn matmul_series(n: usize, warmup: usize, iters: usize) -> VersusRow {
     let a = dense(n, n, 1);
     let b = dense(n, n, 2);
-    let naive = summarize_ns(&time_iterations(warmup, iters, || {
-        let out = linalg::reference::mul_matrix_naive(&a, &b).expect("multiply");
-        std::hint::black_box(out.as_slice()[0]);
-    }));
-    let optimized = summarize_ns(&time_iterations(warmup, iters, || {
-        let out = a.mul_matrix(&b).expect("multiply");
-        std::hint::black_box(out.as_slice()[0]);
-    }));
-    LinalgRow {
+    versus(
         n,
-        optimized_over_naive: ratio(naive.p50_ns, optimized.p50_ns),
-        naive,
-        optimized,
-    }
+        warmup,
+        iters,
+        || {
+            let out = linalg::reference::mul_matrix_naive(&a, &b).expect("multiply");
+            std::hint::black_box(out.as_slice()[0]);
+        },
+        || {
+            let out = a.mul_matrix(&b).expect("multiply");
+            std::hint::black_box(out.as_slice()[0]);
+        },
+    )
 }
 
 /// A diagonally-dominant column-stochastic matrix — the shape evaluation
@@ -202,22 +197,21 @@ fn stochastic(n: usize) -> Matrix {
     m
 }
 
-fn lu_series(n: usize, warmup: usize, iters: usize) -> LinalgRow {
+fn lu_series(n: usize, warmup: usize, iters: usize) -> VersusRow {
     let m = stochastic(n);
-    let naive = summarize_ns(&time_iterations(warmup, iters, || {
-        let (lu, _, _) = linalg::reference::lu_factor_naive(&m).expect("factor");
-        std::hint::black_box(lu.as_slice()[0]);
-    }));
-    let optimized = summarize_ns(&time_iterations(warmup, iters, || {
-        let lu = LuDecomposition::new(&m).expect("factor");
-        std::hint::black_box(lu.packed().as_slice()[0]);
-    }));
-    LinalgRow {
+    versus(
         n,
-        optimized_over_naive: ratio(naive.p50_ns, optimized.p50_ns),
-        naive,
-        optimized,
-    }
+        warmup,
+        iters,
+        || {
+            let (lu, _, _) = linalg::reference::lu_factor_naive(&m).expect("factor");
+            std::hint::black_box(lu.as_slice()[0]);
+        },
+        || {
+            let lu = LuDecomposition::new(&m).expect("factor");
+            std::hint::black_box(lu.packed().as_slice()[0]);
+        },
+    )
 }
 
 /// Times one full fresh fitness-kernel fill (every pair fresh) for a
@@ -257,201 +251,110 @@ fn kernel_fill_series(population: usize, warmup: usize, iters: usize) -> KernelF
     }
 }
 
-/// Report-only mode: parse the committed baselines and print their
-/// headline speedups. Missing or unreadable files are reported and
-/// skipped — this step never fails a build.
-fn report() {
-    use serde::Value;
-    let num = |row: &Value, key: &str| row.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-    let int = |row: &Value, key: &str| row.get(key).and_then(Value::as_u64).unwrap_or(0);
-    let rows = |value: &Value, key: &str| -> Vec<Value> {
-        value
-            .get(key)
-            .and_then(Value::as_array)
-            .map(<[Value]>::to_vec)
-            .unwrap_or_default()
+/// Times batched candidate evaluation of `count` random n×n matrices —
+/// serial, forced-parallel and calibrated, each on a fresh clone so the
+/// evaluation cache stays cold, then warm-cache lookups — after asserting
+/// all three paths return bitwise-equal evaluations.
+fn batch_evaluation_series(
+    n: usize,
+    count: usize,
+    warmup: usize,
+    iters: usize,
+) -> BatchEvaluationRow {
+    let normal = stats::Normal::new(0.0, 1.0).expect("unit normal");
+    let prior = stats::discretize_distribution(&normal, n).expect("discretized prior");
+    let problem = |parallel: bool| {
+        let config = OptrrConfig {
+            parallel_evaluation: parallel,
+            ..OptrrConfig::fast(0.75, 1)
+        };
+        OptrrProblem::new(prior.clone(), &config).expect("valid problem")
     };
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let load = |name: &str| -> Option<Value> {
-        let path = format!("{root}/{name}");
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match serde_json::from_str::<Value>(&text) {
-                Ok(value) => Some(value),
-                Err(error) => {
-                    println!("perf-delta: {name}: unparsable ({error})");
-                    None
-                }
-            },
-            Err(_) => {
-                println!("perf-delta: {name}: not committed, skipping");
-                None
-            }
-        }
+    let mut rng = StdRng::seed_from_u64(7);
+    let matrices: Vec<RrMatrix> = (0..count)
+        .map(|_| RrMatrix::random(n, &mut rng).expect("random matrix"))
+        .collect();
+    let serial = problem(false);
+    let parallel = problem(true).with_batch_min_work(0);
+    let calibrated = problem(true);
+
+    // Every field of every evaluation, bit for bit.
+    let bits = |p: &OptrrProblem| -> Vec<[u64; 4]> {
+        let evaluations = p.clone().evaluate_matrices(&matrices);
+        let bits = |e: &optrr::Evaluation| {
+            let [privacy, mse, posterior] = [e.privacy, e.mse, e.max_posterior].map(f64::to_bits);
+            [privacy, mse, posterior, u64::from(e.feasible)]
+        };
+        evaluations.iter().map(bits).collect()
     };
-    if let Some(kernels) = load("BENCH_kernels.json") {
-        for row in rows(&kernels, "sampler") {
-            println!(
-                "perf-delta: sampler n={} alias-over-naive {:.2}x ({} -> {} draws/s)",
-                int(&row, "n"),
-                num(&row, "alias_over_naive"),
-                int(&row, "naive_draws_per_sec"),
-                int(&row, "alias_draws_per_sec"),
-            );
-        }
-        for row in rows(&kernels, "disguise") {
-            println!(
-                "perf-delta: disguise n={} alias-over-naive {:.2}x ({} -> {} records/s)",
-                int(&row, "n"),
-                num(&row, "alias_over_naive"),
-                int(&row, "naive_records_per_sec"),
-                int(&row, "alias_records_per_sec"),
-            );
-        }
-        for key in ["matmul", "lu"] {
-            for row in rows(&kernels, key) {
-                println!(
-                    "perf-delta: {key} n={} optimized-over-naive {:.2}x",
-                    int(&row, "n"),
-                    num(&row, "optimized_over_naive"),
-                );
-            }
-        }
-        for row in rows(&kernels, "kernel_fill") {
-            println!(
-                "perf-delta: kernel-fill population={} serial-over-parallel {:.2}x",
-                int(&row, "population"),
-                num(&row, "serial_over_parallel"),
-            );
-        }
-    }
-    if let Some(fitness) = load("BENCH_fitness.json") {
-        for row in rows(&fitness, "speedup_incremental") {
-            println!(
-                "perf-delta: fitness n={} scratch-over-incremental {:.2}x, over-calibrated {:.2}x",
-                int(&row, "n"),
-                num(&row, "scratch_over_incremental"),
-                num(&row, "scratch_over_incremental_parallel"),
-            );
-        }
-    }
-    if let Some(pipeline) = load("BENCH_pipeline.json") {
-        println!(
-            "perf-delta: pipeline ingest {:.0} records/s (p50 {} ns), estimate p50 {} ns",
-            num(&pipeline, "ingest_records_per_second"),
-            int(&pipeline, "ingest_latency_p50_ns"),
-            int(&pipeline, "estimate_latency_p50_ns"),
-        );
+    let reference = bits(&serial);
+    assert!(
+        bits(&parallel) == reference && bits(&calibrated) == reference,
+        "parallel batch evaluation diverged from serial at n={n}"
+    );
+
+    let cold = |p: &OptrrProblem| {
+        summarize_ns(&time_iterations(warmup, iters, || {
+            std::hint::black_box(p.clone().evaluate_matrices(&matrices));
+        }))
+    };
+    let (serial_t, parallel_t, calibrated_t) = (cold(&serial), cold(&parallel), cold(&calibrated));
+    serial.evaluate_matrices(&matrices);
+    let cached = summarize_ns(&time_iterations(warmup, iters, || {
+        std::hint::black_box(serial.evaluate_matrices(&matrices));
+    }));
+    BatchEvaluationRow {
+        n,
+        matrices: count,
+        serial_over_parallel: ratio(serial_t.p50_ns, parallel_t.p50_ns),
+        serial_over_calibrated: ratio(serial_t.p50_ns, calibrated_t.p50_ns),
+        serial: serial_t,
+        parallel: parallel_t,
+        calibrated: calibrated_t,
+        cached,
     }
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--report") {
-        report();
+    let root = workspace_root();
+    if flag("--report") {
+        let _ = bench_support::report(&root, &mut std::io::stdout());
         return;
     }
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = flag("--smoke");
     let warmup = DEFAULT_WARMUP_ITERS;
     let (disguise_records, disguise_iters) = if smoke { (5_000, 3) } else { (100_000, 12) };
     let linalg_iters = if smoke { 4 } else { 30 };
     let fill_iters = if smoke { 3 } else { 15 };
     let fill_populations: &[usize] = if smoke { &[64] } else { &[128, 512] };
+    let batch_iters = if smoke { 3 } else { 30 };
 
     // Install the calibrated (or OPTRR_TUNE) thresholds before the
-    // calibrated kernel series reads them.
-    let tuning = optrr::tuning();
-    println!(
-        "tuning: kernel_min_pairs={} batch_min_work={} calibrated={}",
-        tuning.kernel_min_pairs, tuning.batch_min_work, tuning.calibrated
-    );
-
-    let sampler: Vec<SamplerRow> = [4usize, 16, 64, 256]
-        .iter()
-        .map(|&n| {
-            let row = sampler_series(n, disguise_records, warmup, disguise_iters);
-            println!(
-                "sampler    n={n:<4} inverse-cdf {:>7} ns  alias {:>9} ns  ({:.2}x, {} -> {} draws/s)",
-                row.naive.p50_ns,
-                row.alias.p50_ns,
-                row.alias_over_naive,
-                row.naive_draws_per_sec,
-                row.alias_draws_per_sec,
-            );
-            row
-        })
-        .collect();
-
-    let disguise: Vec<DisguiseRow> = [4usize, 16, 64, 256]
-        .iter()
-        .map(|&n| {
-            let row = disguise_series(n, disguise_records, warmup, disguise_iters);
-            println!(
-                "disguise   n={n:<4} naive {:>9} ns  alias {:>9} ns  ({:.2}x, {} -> {} records/s)",
-                row.naive.p50_ns,
-                row.alias.p50_ns,
-                row.alias_over_naive,
-                row.naive_records_per_sec,
-                row.alias_records_per_sec,
-            );
-            row
-        })
-        .collect();
-
-    let matmul: Vec<LinalgRow> = [32usize, 64, 96]
-        .iter()
-        .map(|&n| {
-            let row = matmul_series(n, warmup, linalg_iters);
-            println!(
-                "matmul     n={n:<4} naive {:>9} ns  blocked {:>8} ns  ({:.2}x)",
-                row.naive.p50_ns, row.optimized.p50_ns, row.optimized_over_naive
-            );
-            row
-        })
-        .collect();
-
-    let lu: Vec<LinalgRow> = [32usize, 64, 96]
-        .iter()
-        .map(|&n| {
-            let row = lu_series(n, warmup, linalg_iters);
-            println!(
-                "lu         n={n:<4} naive {:>9} ns  slice {:>10} ns  ({:.2}x)",
-                row.naive.p50_ns, row.optimized.p50_ns, row.optimized_over_naive
-            );
-            row
-        })
-        .collect();
-
-    let kernel_fill: Vec<KernelFillRow> = fill_populations
-        .iter()
-        .map(|&population| {
-            let row = kernel_fill_series(population, warmup, fill_iters);
-            println!(
-                "fill       p={population:<4} serial {:>8} ns  parallel {:>8} ns  calibrated {:>8} ns (pairs={})",
-                row.serial.p50_ns, row.parallel.p50_ns, row.calibrated.p50_ns, row.fresh_pairs
-            );
-            row
-        })
-        .collect();
-
-    if smoke {
-        println!("smoke mode: skipping BENCH_kernels.json baseline write");
-        return;
-    }
+    // calibrated series read them.
+    optrr::tuning();
+    let alias_sizes = [4usize, 16, 64, 256];
+    let linalg_sizes = [32usize, 64, 96];
     let baseline = KernelsBaseline {
-        tuning: TuningRow {
-            kernel_min_pairs: tuning.kernel_min_pairs,
-            batch_min_work: tuning.batch_min_work,
-            calibrated: tuning.calibrated,
-        },
-        sampler,
-        disguise,
-        matmul,
-        lu,
-        kernel_fill,
+        alias_items: disguise_records,
+        sampler: alias_sizes
+            .map(|n| sampler_series(n, disguise_records, warmup, disguise_iters))
+            .into(),
+        disguise: alias_sizes
+            .map(|n| disguise_series(n, disguise_records, warmup, disguise_iters))
+            .into(),
+        matmul: linalg_sizes
+            .map(|n| matmul_series(n, warmup, linalg_iters))
+            .into(),
+        lu: linalg_sizes
+            .map(|n| lu_series(n, warmup, linalg_iters))
+            .into(),
+        kernel_fill: fill_populations
+            .iter()
+            .map(|&population| kernel_fill_series(population, warmup, fill_iters))
+            .collect(),
+        batch_evaluation: [10, 20]
+            .map(|n| batch_evaluation_series(n, 128, warmup, batch_iters))
+            .into(),
     };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    match std::fs::write(path, json + "\n") {
-        Ok(()) => println!("wrote baseline {path}"),
-        Err(error) => eprintln!("warning: could not write {path}: {error}"),
-    }
+    write_baseline(&root, "kernels", smoke, &baseline);
 }

@@ -22,14 +22,15 @@
 //!   output is an assertion, not an observation).
 //!
 //! Results land in `BENCH_net.json` at the workspace root. `--smoke`
-//! runs a scaled-down version of every phase for CI; `--report` parses
-//! the committed baseline and prints `perf-delta:` lines (missing files
-//! are noted, never fatal).
+//! runs a scaled-down version of every phase for CI and writes nothing.
 //!
 //! Usage: `cargo run -p optrr-bench --release --bin bench_net
-//!         [-- --conns N --requests M | --smoke | --report]`
+//!         [-- --conns N --requests M | --smoke]`
 
-use bench_support::{arg_value, percentile};
+use bench_support::{
+    arg_value, flag, percentile, summarize_ns, time_iterations, workspace_root, write_baseline,
+    DEFAULT_WARMUP_ITERS,
+};
 use serde::Serialize;
 use serve::net::{ListenAddr, NetClient, NetConfig, NetServer};
 use serve::wire::{Codec, Inbound};
@@ -301,11 +302,6 @@ fn run_churn(addr: &ListenAddr, threads: usize, sessions_per_thread: usize) -> C
     }
 }
 
-fn median_ns(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    percentile(&samples, 0.50)
-}
-
 /// Encode/decode one DTO `iters` times under both codecs, through the
 /// codec seam: `encode` puts it on the wire, `decode` reads it back.
 fn micro(
@@ -314,28 +310,22 @@ fn micro(
     encode: impl Fn(Codec) -> Vec<u8>,
     decode: impl Fn(Codec, &[u8]),
 ) -> Vec<MicroRow> {
-    let mut rows = Vec::new();
-    for codec in [Codec::Json, Codec::Binary] {
-        let bytes = encode(codec);
-        let mut encode_ns = Vec::with_capacity(iters);
-        let mut decode_ns = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let t = Instant::now();
-            assert!(!encode(codec).is_empty());
-            encode_ns.push(t.elapsed().as_nanos() as u64);
-            let t = Instant::now();
-            decode(codec, &bytes);
-            decode_ns.push(t.elapsed().as_nanos() as u64);
-        }
-        rows.push(MicroRow {
-            payload: payload.to_string(),
-            codec: codec.label().to_string(),
-            bytes: bytes.len(),
-            encode_p50_ns: median_ns(encode_ns),
-            decode_p50_ns: median_ns(decode_ns),
-        });
-    }
-    rows
+    [Codec::Json, Codec::Binary]
+        .map(|codec| {
+            let bytes = encode(codec);
+            let encode_ns = time_iterations(DEFAULT_WARMUP_ITERS, iters, || {
+                assert!(!encode(codec).is_empty())
+            });
+            let decode_ns = time_iterations(DEFAULT_WARMUP_ITERS, iters, || decode(codec, &bytes));
+            MicroRow {
+                payload: payload.to_string(),
+                codec: codec.label().to_string(),
+                bytes: bytes.len(),
+                encode_p50_ns: summarize_ns(&encode_ns).p50_ns,
+                decode_p50_ns: summarize_ns(&decode_ns).p50_ns,
+            }
+        })
+        .into()
 }
 
 fn run_codec_micro(iters: usize) -> Vec<MicroRow> {
@@ -430,59 +420,8 @@ fn check_snapshot_determinism() -> bool {
     identical
 }
 
-/// Report-only mode: parse the committed baseline and print headline
-/// deltas. Missing or unreadable files are noted, never fatal.
-fn report() {
-    use serde::Value;
-    let num = |row: &Value, key: &str| row.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-    let int = |row: &Value, key: &str| row.get(key).and_then(Value::as_u64).unwrap_or(0);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
-    let baseline = match std::fs::read_to_string(path) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(value) => value,
-            Err(error) => {
-                println!("perf-delta: BENCH_net.json: unparsable ({error})");
-                return;
-            }
-        },
-        Err(_) => {
-            println!("perf-delta: BENCH_net.json: not committed, skipping");
-            return;
-        }
-    };
-    println!(
-        "perf-delta: net {} conns binary-over-json mixed-run q/s {:.2}x",
-        int(&baseline, "connections"),
-        num(&baseline, "binary_over_json_mixed_qps"),
-    );
-    if let Some(runs) = baseline.get("codec_runs").and_then(Value::as_array) {
-        for run in runs {
-            println!(
-                "perf-delta: net {} {:.0} q/s mixed run ({:.0} ingest records/s of it), p50 {} ns, p99 {} ns",
-                run.get("codec").and_then(Value::as_str).unwrap_or("?"),
-                num(run, "qps"),
-                num(run, "mixed_run_ingest_records_per_sec"),
-                int(run, "latency_p50_ns"),
-                int(run, "latency_p99_ns"),
-            );
-        }
-    }
-    if let Some(churn) = baseline.get("churn") {
-        println!(
-            "perf-delta: net churn {:.0} sessions/s over {} short-lived sessions",
-            num(churn, "sessions_per_sec"),
-            int(churn, "sessions_total"),
-        );
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--report") {
-        report();
-        return;
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let smoke = flag("--smoke");
     let connections = arg_value("--conns").unwrap_or(if smoke { 32 } else { 512 });
     let requests_per_connection = arg_value("--requests").unwrap_or(if smoke { 6 } else { 40 });
     let (churn_threads, churn_sessions) = if smoke { (8, 6) } else { (32, 30) };
@@ -511,16 +450,6 @@ fn main() {
     for codec in [Codec::Json, Codec::Binary] {
         let (run, active) =
             run_codec_load(&addr, codec, connections, requests_per_connection, &server);
-        println!(
-            "{} x{}: {:.0} q/s mixed run (of it {:.0} query q/s, {:.0} ingest records/s), p50 {} ns, p99 {} ns",
-            run.codec,
-            run.connections,
-            run.qps,
-            run.mixed_run_query_qps,
-            run.mixed_run_ingest_records_per_sec,
-            run.latency_p50_ns,
-            run.latency_p99_ns,
-        );
         max_active = max_active.max(active);
         codec_runs.push(run);
     }
@@ -530,27 +459,10 @@ fn main() {
     );
 
     let binary_over_json_mixed_qps = codec_runs[1].qps / codec_runs[0].qps.max(1e-9);
-    println!("binary over json: mixed-run q/s {binary_over_json_mixed_qps:.2}x");
-
     let churn = run_churn(&addr, churn_threads, churn_sessions);
-    println!(
-        "churn: {:.0} sessions/s across {} short-lived sessions",
-        churn.sessions_per_sec, churn.sessions_total
-    );
 
     server.request_drain();
     server.wait();
-
-    let codec_micro = run_codec_micro(micro_iters);
-    for row in &codec_micro {
-        println!(
-            "micro {} {}: {} bytes, encode p50 {} ns, decode p50 {} ns",
-            row.payload, row.codec, row.bytes, row.encode_p50_ns, row.decode_p50_ns
-        );
-    }
-
-    let snapshot_identical = check_snapshot_determinism();
-    println!("cross-codec snapshots byte-identical: {snapshot_identical}");
 
     let baseline = NetBaseline {
         connections,
@@ -559,13 +471,8 @@ fn main() {
         codec_runs,
         binary_over_json_mixed_qps,
         churn,
-        codec_micro,
-        snapshot_identical,
+        codec_micro: run_codec_micro(micro_iters),
+        snapshot_identical: check_snapshot_determinism(),
     };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
-    match std::fs::write(path, json + "\n") {
-        Ok(()) => println!("wrote baseline {path}"),
-        Err(error) => eprintln!("warning: could not write {path}: {error}"),
-    }
+    write_baseline(&workspace_root(), "net", smoke, &baseline);
 }

@@ -9,13 +9,14 @@
 //! verbs. The engine never runs during the measured phase — the streams
 //! follow the registered prior, so no drift refresh fires, and the run
 //! counter is asserted. Results land in `BENCH_pipeline.json` at the
-//! workspace root, next to `BENCH_serve.json`.
+//! workspace root, next to `BENCH_serve.json`; `--smoke` runs a scaled-down
+//! pass with every assertion and writes nothing.
 //!
 //! Usage:
 //! `cargo run -p optrr-bench --release --bin bench_pipeline
 //!  [-- --streams N --batches B --batch-size S --estimate-every E | --smoke]`
 
-use bench_support::{arg_value, percentile};
+use bench_support::{arg_value, cores, flag, percentile, workspace_root, write_baseline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -46,17 +47,9 @@ struct PipelineBaseline {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = flag("--smoke");
     let streams = arg_value("--streams")
-        .unwrap_or_else(|| {
-            if smoke {
-                2
-            } else {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            }
-        })
+        .unwrap_or(if smoke { 2 } else { cores() })
         .max(1);
     let batches_per_stream = arg_value("--batches")
         .unwrap_or(if smoke { 20 } else { 200 })
@@ -184,24 +177,5 @@ fn main() {
         engine_runs_after_load,
     };
 
-    println!(
-        "{} streams x {} batches x {} records: {:.0} records/s, \
-         ingest p50 {} ns p99 {} ns, estimate p50 {} ns p99 {} ns, final mse {:.3e}",
-        baseline.streams,
-        baseline.batches_per_stream,
-        baseline.batch_size,
-        baseline.ingest_records_per_second,
-        baseline.ingest_latency_p50_ns,
-        baseline.ingest_latency_p99_ns,
-        baseline.estimate_latency_p50_ns,
-        baseline.estimate_latency_p99_ns,
-        baseline.final_mse_vs_prior
-    );
-
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    match std::fs::write(path, json + "\n") {
-        Ok(()) => println!("wrote baseline {path}"),
-        Err(error) => eprintln!("warning: could not write {path}: {error}"),
-    }
+    write_baseline(&workspace_root(), "pipeline", smoke, &baseline);
 }

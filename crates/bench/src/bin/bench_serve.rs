@@ -1,32 +1,33 @@
-//! Load generator for the matrix-serving subsystem.
+//! Load generator for the matrix-serving subsystem, in two scenarios:
 //!
-//! Warms a service with a small batch of priors through the multi-prior
-//! front door, then drives N concurrent query streams (point queries across
-//! the privacy axis, utility-budget queries, and periodic full-front
-//! queries) against the warm sharded store and reports throughput and
-//! latency percentiles. The engine never runs during the measured phase —
-//! the run counters are asserted — so this measures the serving hot path:
-//! registry resolution plus sharded Ω reads. Results land in
-//! `BENCH_serve.json` at the workspace root.
+//! * **Query load** — warms a service with a small batch of priors through
+//!   the multi-prior front door, then drives N concurrent query streams
+//!   (point queries across the privacy axis, utility-budget queries, and
+//!   periodic full-front queries) against the warm sharded store and
+//!   reports throughput and latency percentiles. The engine never runs
+//!   during the measured phase — the run counters are asserted — so this
+//!   measures the serving hot path: registry resolution plus sharded Ω
+//!   reads. Results land in `BENCH_serve.json`.
+//! * **Tenants** — 100+ keys registered under a deliberately small memory
+//!   budget, asserting that LRU evictions occur, the byte accounting stays
+//!   under the budget, and every key — evicted or not — still answers
+//!   point queries correctly after its transparent re-warm. Results land
+//!   in `BENCH_serve_tenants.json`.
 //!
-//! `--smoke` runs the multi-tenant lifecycle scenario instead: 100+ keys
-//! registered under a deliberately small memory budget, asserting that
-//! LRU evictions occur, the byte accounting stays under the budget, and
-//! every key — evicted or not — still answers point queries correctly
-//! after its transparent re-warm. Results land in
-//! `BENCH_serve_tenants.json`.
-//!
-//! Both modes also measure the observability cost: the same query mix
-//! driven with the metrics registry recording and disabled, reported as
-//! a `metrics_overhead` row (the budget is < 5% of query throughput;
+//! Both baselines also carry the observability cost: the same query mix
+//! driven with the metrics registry recording and disabled, reported as a
+//! `metrics_overhead` row (the budget is < 5% of query throughput;
 //! responses are bitwise-identical either way).
 //!
+//! A plain run executes both scenarios and writes both files; `--smoke`
+//! runs both at smoke scale, keeps every assertion and writes nothing.
+//!
 //! Usage: `cargo run -p optrr-bench --release --bin bench_serve
-//!         [-- --streams N --queries M | --smoke [--tenants K]]`
+//!         [-- --streams N --queries M --tenants K | --smoke]`
 
-use bench_support::{arg_value, percentile};
+use bench_support::{arg_value, cores, flag, percentile, workspace_root, write_baseline};
 use serde::Serialize;
-use serve::{KeyState, Service, ServiceConfig};
+use serve::{KeyEntry, KeyState, Service, ServiceConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,73 +54,12 @@ struct ServeBaseline {
 /// registry and event trace recording and one with them disabled. The
 /// responses are bitwise-identical either way (the invisibility
 /// invariant); this row bounds what the *recording* costs the hot path.
-#[derive(Serialize)]
+#[derive(Serialize, Clone, Copy)]
 struct MetricsOverhead {
     queries_per_side: usize,
     metrics_on_qps: f64,
     metrics_off_qps: f64,
     overhead_percent: f64,
-}
-
-/// Measures the metrics-on vs metrics-off query throughput on the warm
-/// hot path. Best-of-3 per side to shed scheduler noise.
-fn measure_metrics_overhead(queries: usize) -> MetricsOverhead {
-    let side = |metrics: bool| -> f64 {
-        let service = Arc::new(Service::new(ServiceConfig {
-            metrics,
-            ..ServiceConfig::smoke(2008)
-        }));
-        let priors: Vec<Vec<f64>> = vec![
-            vec![0.35, 0.25, 0.2, 0.12, 0.08],
-            vec![0.5, 0.2, 0.12, 0.1, 0.08],
-            vec![0.25, 0.2, 0.2, 0.2, 0.15],
-        ];
-        let (entries, _) = service
-            .register_batch(None, &priors, 0.8, None)
-            .expect("batch registration succeeds");
-        let ranges: Vec<(f64, f64)> = entries
-            .iter()
-            .map(|e| e.store().privacy_range().expect("warm store is non-empty"))
-            .collect();
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let started = Instant::now();
-            for step in 0..queries {
-                let which = step % entries.len();
-                let entry = &entries[which];
-                let (lo, hi) = ranges[which];
-                let t = ((step * 7919) % 1000) as f64 / 999.0;
-                if step % 2 == 0 {
-                    let found = service.best_for_privacy(entry, lo + (hi - lo) * t);
-                    assert!(found.is_some());
-                } else {
-                    let found = service.best_for_mse(entry, f64::INFINITY);
-                    assert!(found.is_some());
-                }
-            }
-            best = best.min(started.elapsed().as_secs_f64());
-        }
-        queries as f64 / best.max(1e-9)
-    };
-    let metrics_on_qps = side(true);
-    let metrics_off_qps = side(false);
-    let overhead = MetricsOverhead {
-        queries_per_side: queries,
-        metrics_on_qps,
-        metrics_off_qps,
-        overhead_percent: (1.0 - metrics_on_qps / metrics_off_qps.max(1e-9)) * 100.0,
-    };
-    println!(
-        "metrics overhead: on {:.0} q/s vs off {:.0} q/s ({:+.2}%)",
-        overhead.metrics_on_qps, overhead.metrics_off_qps, overhead.overhead_percent
-    );
-    if overhead.overhead_percent >= 5.0 {
-        eprintln!(
-            "warning: metrics recording costs {:.2}% query throughput (budget is 5%)",
-            overhead.overhead_percent
-        );
-    }
-    overhead
 }
 
 #[derive(Serialize)]
@@ -138,9 +78,154 @@ struct TenantBaseline {
     metrics_overhead: MetricsOverhead,
 }
 
-/// The multi-tenant lifecycle smoke: many keys, small budget.
-fn run_tenant_smoke() {
-    let tenants = arg_value("--tenants").unwrap_or(120).max(8);
+/// A warm key and its privacy range, for spreading point queries across it.
+struct WarmKey {
+    entry: Arc<KeyEntry>,
+    lo: f64,
+    hi: f64,
+}
+
+impl WarmKey {
+    /// One warm-path query: on even steps the best matrix at a privacy
+    /// level `t` of the way up the key's range, on odd steps the best
+    /// under a generous utility budget (which always matches).
+    fn query(&self, service: &Arc<Service>, step: usize, t: f64) {
+        let found = if step % 2 == 0 {
+            service.best_for_privacy(&self.entry, self.lo + (self.hi - self.lo) * t)
+        } else {
+            service.best_for_mse(&self.entry, f64::INFINITY)
+        };
+        assert!(found.is_some());
+    }
+}
+
+/// A service warmed with the query-load priors.
+fn warm_query_service(config: ServiceConfig) -> (Arc<Service>, Vec<WarmKey>) {
+    let service = Arc::new(Service::new(config));
+    let priors: Vec<Vec<f64>> = vec![
+        vec![0.35, 0.25, 0.2, 0.12, 0.08],
+        vec![0.5, 0.2, 0.12, 0.1, 0.08],
+        vec![0.25, 0.2, 0.2, 0.2, 0.15],
+    ];
+    let (entries, _) = service
+        .register_batch(None, &priors, 0.8, None)
+        .expect("batch registration succeeds");
+    let keys = entries
+        .into_iter()
+        .map(|entry| {
+            let range = entry.store().privacy_range();
+            let (lo, hi) = range.expect("warm store is non-empty");
+            WarmKey { entry, lo, hi }
+        })
+        .collect();
+    (service, keys)
+}
+
+/// Measures the metrics-on vs metrics-off query throughput on the warm
+/// hot path. Best-of-3 per side to shed scheduler noise.
+fn measure_metrics_overhead(queries: usize) -> MetricsOverhead {
+    let side = |metrics: bool| -> f64 {
+        let (service, keys) = warm_query_service(ServiceConfig {
+            metrics,
+            ..ServiceConfig::smoke(2008)
+        });
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let started = Instant::now();
+            for step in 0..queries {
+                let t = ((step * 7919) % 1000) as f64 / 999.0;
+                keys[step % keys.len()].query(&service, step, t);
+            }
+            best = best.min(started.elapsed().as_secs_f64());
+        }
+        queries as f64 / best.max(1e-9)
+    };
+    let metrics_on_qps = side(true);
+    let metrics_off_qps = side(false);
+    let overhead = MetricsOverhead {
+        queries_per_side: queries,
+        metrics_on_qps,
+        metrics_off_qps,
+        overhead_percent: (1.0 - metrics_on_qps / metrics_off_qps.max(1e-9)) * 100.0,
+    };
+    if overhead.overhead_percent >= 5.0 {
+        eprintln!(
+            "warning: metrics recording costs {:.2}% query throughput (budget is 5%)",
+            overhead.overhead_percent
+        );
+    }
+    overhead
+}
+
+/// The query-load scenario: concurrent query streams against warm keys.
+fn run_query_load(
+    streams: usize,
+    queries_per_stream: usize,
+    metrics_overhead: MetricsOverhead,
+) -> ServeBaseline {
+    let (service, keys) = warm_query_service(ServiceConfig::smoke(2008));
+    let (_, engine_runs_warmup, _, _) = service.service_stats();
+
+    let load_started = Instant::now();
+    let mut latencies: Vec<u64> = Vec::with_capacity(streams * queries_per_stream);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..streams)
+            .map(|stream| {
+                let service = Arc::clone(&service);
+                let keys = &keys;
+                scope.spawn(move || {
+                    let mut stream_latencies = Vec::with_capacity(queries_per_stream);
+                    for step in 0..queries_per_stream {
+                        let key = &keys[(stream + step) % keys.len()];
+                        let t = ((step * 7919 + stream * 104_729) % 1000) as f64 / 999.0;
+                        let started = Instant::now();
+                        if step % 64 == 63 {
+                            // Periodic full-front query (merge + pareto).
+                            assert!(!service.front(&key.entry).is_empty());
+                        } else {
+                            key.query(&service, step, t);
+                        }
+                        stream_latencies.push(started.elapsed().as_nanos() as u64);
+                    }
+                    stream_latencies
+                })
+            })
+            .collect();
+        for handle in handles {
+            latencies.extend(handle.join().expect("query stream panicked"));
+        }
+    });
+    let wall_seconds = load_started.elapsed().as_secs_f64();
+
+    let (registered_keys, engine_runs_after_load, queries, warm_hits) = service.service_stats();
+    assert_eq!(
+        engine_runs_after_load, engine_runs_warmup,
+        "the load phase must never re-run the engine"
+    );
+    assert_eq!(queries, warm_hits, "every load query is a warm hit");
+
+    latencies.sort_unstable();
+    let total_queries = latencies.len() as u64;
+    ServeBaseline {
+        streams,
+        queries_per_stream,
+        total_queries,
+        wall_seconds,
+        throughput_qps: total_queries as f64 / wall_seconds.max(1e-9),
+        latency_mean_ns: latencies.iter().sum::<u64>() / total_queries.max(1),
+        latency_p50_ns: percentile(&latencies, 0.50),
+        latency_p95_ns: percentile(&latencies, 0.95),
+        latency_p99_ns: percentile(&latencies, 0.99),
+        latency_max_ns: percentile(&latencies, 1.0),
+        registered_keys,
+        engine_runs_warmup,
+        engine_runs_after_load,
+        metrics_overhead,
+    }
+}
+
+/// The multi-tenant lifecycle scenario: many keys, small budget.
+fn run_tenants(tenants: usize, metrics_overhead: MetricsOverhead) -> TenantBaseline {
     // Deterministic 4-category priors, all distinct fingerprints.
     let priors: Vec<Vec<f64>> = (0..tenants)
         .map(|i| {
@@ -186,11 +271,6 @@ fn run_tenant_smoke() {
         resident_after_load <= budget,
         "byte accounting above budget after load: {resident_after_load} > {budget}"
     );
-    println!(
-        "{tenants} tenants under a {budget}-byte budget: {evictions_after_load} evictions, \
-         {evicted_after_load} evicted, {resident_after_load} bytes resident \
-         (registered in {register_seconds:.2}s)"
-    );
 
     // Every key still answers — evicted ones re-warm transparently — and
     // the accounting stays under budget throughout.
@@ -217,8 +297,12 @@ fn run_tenant_smoke() {
         rewarms_total > 0,
         "querying every key must have re-warmed the evicted ones"
     );
+    println!(
+        "{tenants} tenants under a {budget}-byte budget: {evictions_after_load} evictions after \
+         load, {rewarms_total} re-warms, {evictions_total} evictions total, all answered"
+    );
 
-    let baseline = TenantBaseline {
+    TenantBaseline {
         tenants,
         budget_bytes: budget,
         peak_unbudgeted_bytes_estimate: per_key * tenants as u64,
@@ -230,142 +314,24 @@ fn run_tenant_smoke() {
         rewarms_total,
         register_seconds,
         query_seconds,
-        metrics_overhead: measure_metrics_overhead(20_000),
-    };
-    println!(
-        "all {tenants} tenants answered; {rewarms_total} re-warms, {evictions_total} evictions \
-         total, {resident_after_queries} bytes resident (queried in {query_seconds:.2}s)"
-    );
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_serve_tenants.json"
-    );
-    match std::fs::write(path, json + "\n") {
-        Ok(()) => println!("wrote baseline {path}"),
-        Err(error) => eprintln!("warning: could not write {path}: {error}"),
+        metrics_overhead,
     }
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_tenant_smoke();
-        return;
-    }
+    let smoke = flag("--smoke");
     let streams = arg_value("--streams")
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
+        .unwrap_or(if smoke { 2 } else { cores() })
         .max(1);
-    let queries_per_stream = arg_value("--queries").unwrap_or(5_000).max(1);
+    let queries = arg_value("--queries")
+        .unwrap_or(if smoke { 500 } else { 5_000 })
+        .max(1);
+    let tenants = arg_value("--tenants").unwrap_or(120).max(8);
 
-    let service = Arc::new(Service::new(ServiceConfig::smoke(2008)));
-    let priors: Vec<Vec<f64>> = vec![
-        vec![0.35, 0.25, 0.2, 0.12, 0.08],
-        vec![0.5, 0.2, 0.12, 0.1, 0.08],
-        vec![0.25, 0.2, 0.2, 0.2, 0.15],
-    ];
-    let warm_started = Instant::now();
-    let (entries, warmed) = service
-        .register_batch(None, &priors, 0.8, None)
-        .expect("batch registration succeeds");
-    let warmup_seconds = warm_started.elapsed().as_secs_f64();
-    let (_, engine_runs_warmup, _, _) = service.service_stats();
-    println!("warmed {warmed} keys in {warmup_seconds:.2}s ({engine_runs_warmup} engine runs)");
-
-    let privacy_ranges: Vec<(f64, f64)> = entries
-        .iter()
-        .map(|e| e.store().privacy_range().expect("warm store is non-empty"))
-        .collect();
-
-    let load_started = Instant::now();
-    let mut latencies: Vec<u64> = Vec::with_capacity(streams * queries_per_stream);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..streams)
-            .map(|stream| {
-                let service = Arc::clone(&service);
-                let entries = &entries;
-                let privacy_ranges = &privacy_ranges;
-                scope.spawn(move || {
-                    let mut stream_latencies = Vec::with_capacity(queries_per_stream);
-                    for step in 0..queries_per_stream {
-                        let which = (stream + step) % entries.len();
-                        let entry = &entries[which];
-                        let (lo, hi) = privacy_ranges[which];
-                        let t = ((step * 7919 + stream * 104_729) % 1000) as f64 / 999.0;
-                        let started = Instant::now();
-                        match step % 64 {
-                            63 => {
-                                // Periodic full-front query (merge + pareto).
-                                let front = service.front(entry);
-                                assert!(!front.is_empty());
-                            }
-                            s if s % 2 == 0 => {
-                                let p = lo + (hi - lo) * t;
-                                let found = service.best_for_privacy(entry, p);
-                                assert!(found.is_some());
-                            }
-                            _ => {
-                                // A generous utility budget always matches.
-                                let found = service.best_for_mse(entry, f64::INFINITY);
-                                assert!(found.is_some());
-                            }
-                        }
-                        stream_latencies.push(started.elapsed().as_nanos() as u64);
-                    }
-                    stream_latencies
-                })
-            })
-            .collect();
-        for handle in handles {
-            latencies.extend(handle.join().expect("query stream panicked"));
-        }
-    });
-    let wall_seconds = load_started.elapsed().as_secs_f64();
-
-    let (registered_keys, engine_runs_after_load, queries, warm_hits) = service.service_stats();
-    assert_eq!(
-        engine_runs_after_load, engine_runs_warmup,
-        "the load phase must never re-run the engine"
-    );
-    assert_eq!(queries, warm_hits, "every load query is a warm hit");
-
-    latencies.sort_unstable();
-    let total_queries = latencies.len() as u64;
-    let mean = latencies.iter().sum::<u64>() / total_queries.max(1);
-    let baseline = ServeBaseline {
-        streams,
-        queries_per_stream,
-        total_queries,
-        wall_seconds,
-        throughput_qps: total_queries as f64 / wall_seconds.max(1e-9),
-        latency_mean_ns: mean,
-        latency_p50_ns: percentile(&latencies, 0.50),
-        latency_p95_ns: percentile(&latencies, 0.95),
-        latency_p99_ns: percentile(&latencies, 0.99),
-        latency_max_ns: percentile(&latencies, 1.0),
-        registered_keys,
-        engine_runs_warmup,
-        engine_runs_after_load,
-        metrics_overhead: measure_metrics_overhead(20_000),
-    };
-
-    println!(
-        "{} streams x {} queries: {:.0} q/s, p50 {} ns, p95 {} ns, p99 {} ns",
-        baseline.streams,
-        baseline.queries_per_stream,
-        baseline.throughput_qps,
-        baseline.latency_p50_ns,
-        baseline.latency_p95_ns,
-        baseline.latency_p99_ns
-    );
-
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    match std::fs::write(path, json + "\n") {
-        Ok(()) => println!("wrote baseline {path}"),
-        Err(error) => eprintln!("warning: could not write {path}: {error}"),
-    }
+    let overhead = measure_metrics_overhead(if smoke { 2_000 } else { 20_000 });
+    let root = workspace_root();
+    let serve = run_query_load(streams, queries, overhead);
+    write_baseline(&root, "serve", smoke, &serve);
+    let tenants = run_tenants(tenants, overhead);
+    write_baseline(&root, "serve_tenants", smoke, &tenants);
 }

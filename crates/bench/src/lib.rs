@@ -1,17 +1,27 @@
 //! # optrr-bench (bench_support)
 //!
-//! Shared harness for the experiment binaries and Criterion benches that
-//! regenerate the OptRR paper's evaluation (Figures 4 and 5, Theorem 2,
-//! Fact 1) plus the ablation studies listed in DESIGN.md.
+//! Shared harness for the experiment binaries that regenerate the OptRR
+//! paper's evaluation (Figures 4 and 5, Theorem 2, Fact 1) plus the
+//! ablation studies listed in DESIGN.md, and for the `bench_*` binaries
+//! that measure the system.
 //!
 //! Every experiment binary follows the same pattern: build the workload the
 //! paper describes, sweep the Warner baseline, run the OptRR optimizer,
 //! compare the fronts, and print an [`optrr::ExperimentReport`] as an
 //! aligned table plus CSV. The functions here hold that shared logic so the
 //! binaries stay short and consistent.
+//!
+//! The `bench_*` binaries time microbenchmark series with
+//! [`time_iterations`] / [`summarize_ns`] and every one ends with
+//! [`write_baseline`], the one writer of the committed `BENCH_*.json`
+//! files; [`report`] prints them back (see [`baseline`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod baseline;
+
+pub use baseline::{report, workspace_root, write_baseline};
 
 use datagen::{synthetic, AdultConfig, SourceDistribution, SyntheticConfig};
 use emoo::EngineKind;
@@ -39,11 +49,10 @@ impl Fidelity {
     /// the `OPTRR_FIDELITY` environment variable (`fast` / `standard` /
     /// `paper`), defaulting to [`Fidelity::Standard`].
     pub fn from_env_and_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--fast") {
+        if flag("--fast") {
             return Fidelity::Fast;
         }
-        if args.iter().any(|a| a == "--paper") {
+        if flag("--paper") {
             return Fidelity::Paper;
         }
         match std::env::var("OPTRR_FIDELITY")
@@ -103,11 +112,10 @@ impl Fidelity {
 /// `spea2`), defaulting to the paper's SPEA2. Every experiment binary runs
 /// against either backend through this one switch.
 pub fn engine_kind_from_env_and_args() -> EngineKind {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--nsga2") {
+    if flag("--nsga2") {
         return EngineKind::Nsga2;
     }
-    if args.iter().any(|a| a == "--spea2") {
+    if flag("--spea2") {
         return EngineKind::Spea2;
     }
     match std::env::var("OPTRR_ENGINE")
@@ -125,7 +133,7 @@ pub fn engine_kind_from_env_and_args() -> EngineKind {
 /// `true`). Parallel evaluation is bit-identical to serial; it only
 /// changes wall-clock time.
 pub fn parallel_evaluation_from_env_and_args() -> bool {
-    if std::env::args().any(|a| a == "--parallel") {
+    if flag("--parallel") {
         return true;
     }
     matches!(
@@ -257,6 +265,16 @@ pub fn optrr_front(report: &ExperimentReport) -> &ParetoFront {
         .iter()
         .find(|f| f.label == "OptRR")
         .expect("figure reports always contain an OptRR front")
+}
+
+/// The host's available parallelism (1 when it cannot be read).
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Whether the bare flag `name` (e.g. `--smoke`) is on the command line.
+pub fn flag(name: &str) -> bool {
+    std::env::args().any(|a| a == name)
 }
 
 /// Reads the `usize` value following a `--name` CLI flag, shared by the

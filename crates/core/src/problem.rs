@@ -60,12 +60,14 @@ const CACHE_BYTE_BUDGET: usize = 64 << 20;
 /// Baked minimum batch work (matrices × n³, the dominant cost of one
 /// evaluation being the n×n matrix inversion) before a parallel-configured
 /// batch actually fans out across cores. Below this the thread spawn and
-/// the parallel path's key pre-pass cost more than they save —
-/// `BENCH_optimizer.json` showed parallel n=10×128 batches (work 128k)
-/// *losing* to serial by ~13% while n=20×128 (work 1.02M) broke even — so
-/// small batches stay on the serial path. New problems take the
-/// startup-calibrated value from [`crate::tune::tuning`] instead; this
-/// constant is the `OPTRR_TUNE=off` fallback and the calibration anchor.
+/// the parallel path's key pre-pass cost more than they save — the
+/// `batch_evaluation` rows of `BENCH_kernels.json` time n=10×128 (work
+/// 128k) and n=20×128 (work 1.02M) batches serial, parallel and
+/// calibrated; the first measurement had the parallel n=10 batch *losing*
+/// to serial by ~13% while n=20 broke even — so small batches stay on the
+/// serial path. New problems take the startup-calibrated value from
+/// [`crate::tune::tuning`] instead; this constant is the `OPTRR_TUNE=off`
+/// fallback and the calibration anchor.
 pub const PARALLEL_BATCH_MIN_WORK: usize = 400_000;
 
 /// The OptRR problem instance: a prior distribution (from the data set
