@@ -8,8 +8,11 @@
 //! ([`emoo::assign_fitness`]), and through a persistent
 //! [`emoo::FitnessKernel`] in serial, forced-parallel, and calibrated
 //! (production-default) configurations — with the results asserted bitwise
-//! equal before the timings are trusted. The first generations of every
-//! series are untimed warm-up, and speedups compare medians, not means.
+//! equal before the timings are trusted. The three kernel series share one
+//! population walk and are timed round-robin within each generation, so
+//! they are compared under the same host conditions. The first
+//! generations of every series are untimed warm-up, and speedups compare
+//! medians, not means.
 //!
 //! The calibrated series is the one the engines actually run:
 //! [`FitnessKernel::new`] reads the threshold installed by
@@ -75,24 +78,25 @@ fn random_point(rng: &mut StdRng) -> Objectives {
 }
 
 /// Drives `warmup + generations` steps of one population of size `n` with
-/// the given survivor count, timing the supplied assignment closure per
-/// generation, asserting it reproduces the from-scratch fitness bitwise,
-/// and discarding the warm-up samples.
-fn run_series(
+/// the given survivor count. Every generation times each supplied
+/// assignment closure once and asserts its result bitwise equal to the
+/// from-scratch fitness; the warm-up samples are discarded. Returns one
+/// sample series per closure, in `assigns` order.
+fn run_series<F: FnMut(&mut Vec<Individual<u64>>, &[u64]) -> u64>(
     n: usize,
     survivors: usize,
     warmup: usize,
     generations: usize,
     density_k: usize,
     seed: u64,
-    mut assign: impl FnMut(&mut Vec<Individual<u64>>, &[u64]) -> u64,
-) -> Vec<u64> {
+    assigns: &mut [F],
+) -> Vec<Vec<u64>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut next_id = 0u64;
     let mut members: Vec<Individual<u64>> = Vec::new();
     let mut ids: Vec<u64> = Vec::new();
-    let mut samples = Vec::with_capacity(warmup + generations);
-    for _ in 0..(warmup + generations) {
+    let mut samples = vec![Vec::with_capacity(warmup + generations); assigns.len()];
+    for generation in 0..(warmup + generations) {
         // Survivors keep their ids; the rest of the population is fresh.
         members.truncate(survivors.min(members.len()));
         ids.truncate(members.len());
@@ -101,24 +105,37 @@ fn run_series(
             ids.push(next_id);
             next_id += 1;
         }
-        samples.push(assign(&mut members, &ids));
 
-        // Cross-check against the reference implementation (outside the
-        // timed section).
+        // The reference implementation, outside the timed sections.
         let mut reference: Vec<Individual<u64>> = members.clone();
         for ind in &mut reference {
             ind.fitness = None;
         }
         assign_fitness(&mut reference, density_k);
-        for (a, b) in members.iter().zip(&reference) {
-            assert_eq!(
-                a.fitness.expect("assigned").to_bits(),
-                b.fitness.expect("assigned").to_bits(),
-                "incremental fitness diverged from scratch"
-            );
+
+        // Round-robin: across generations the closures run in every
+        // order (the first one rotates and the direction alternates), so
+        // host noise that drifts during the walk, and the slowdown of
+        // whatever runs right after a forced-parallel fill, land on every
+        // series alike.
+        let k = assigns.len();
+        for turn in 0..k {
+            let step = if generation % 2 == 0 { turn } else { k - turn };
+            let which = (generation / 2 + step) % k;
+            samples[which].push(assigns[which](&mut members, &ids));
+            for (a, b) in members.iter().zip(&reference) {
+                assert_eq!(
+                    a.fitness.expect("assigned").to_bits(),
+                    b.fitness.expect("assigned").to_bits(),
+                    "incremental fitness diverged from scratch"
+                );
+            }
         }
     }
-    samples.split_off(warmup)
+    samples
+        .into_iter()
+        .map(|mut series| series.split_off(warmup))
+        .collect()
 }
 
 fn main() {
@@ -146,38 +163,41 @@ fn main() {
             generations,
             density_k,
             7,
-            |members, _ids| {
+            &mut [|members: &mut Vec<Individual<u64>>, _ids: &[u64]| {
                 let started = Instant::now();
                 assign_fitness(members, density_k);
                 started.elapsed().as_nanos() as u64
-            },
+            }],
         );
+        let scratch = summarize_ns(&scratch[0]);
 
-        // Incremental: one kernel persists across each series. Serial
-        // never crosses the parallel threshold, forced always does, and
-        // the calibrated kernel (the engines' configuration) decides per
-        // generation from the installed threshold.
-        let timed_kernel = |mut kernel: FitnessKernel| {
-            run_series(
-                n,
-                survivors,
-                warmup,
-                generations,
-                density_k,
-                7,
-                move |members, ids| {
-                    let started = Instant::now();
-                    kernel.assign_fitness(members, ids, density_k);
-                    started.elapsed().as_nanos() as u64
-                },
-            )
-        };
-        let serial = summarize_ns(&timed_kernel(FitnessKernel::with_parallel_threshold(
-            usize::MAX,
-        )));
-        let forced = summarize_ns(&timed_kernel(FitnessKernel::with_parallel_threshold(0)));
-        let calibrated = summarize_ns(&timed_kernel(FitnessKernel::new()));
-        let scratch = summarize_ns(&scratch);
+        // Incremental: one kernel persists per series, and the three
+        // series share one round-robin walk. Serial never crosses the
+        // parallel threshold, forced always does, and the calibrated
+        // kernel (the engines' configuration) decides per generation from
+        // the installed threshold.
+        let mut kernels = [
+            FitnessKernel::with_parallel_threshold(usize::MAX),
+            FitnessKernel::with_parallel_threshold(0),
+            FitnessKernel::new(),
+        ]
+        .map(|mut kernel| {
+            move |members: &mut Vec<Individual<u64>>, ids: &[u64]| {
+                let started = Instant::now();
+                kernel.assign_fitness(members, ids, density_k);
+                started.elapsed().as_nanos() as u64
+            }
+        });
+        let series = run_series(
+            n,
+            survivors,
+            warmup,
+            generations,
+            density_k,
+            7,
+            &mut kernels,
+        );
+        let [serial, forced, calibrated] = [0, 1, 2].map(|i| summarize_ns(&series[i]));
 
         // The production path must track the better fixed path: >10%
         // slower than either at any benched n is the benchmark regression

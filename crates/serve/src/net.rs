@@ -224,10 +224,6 @@ impl NetShared {
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
-
-    fn obs(&self) -> &Arc<ServeObs> {
-        self.service.obs()
-    }
 }
 
 /// The running network front door. Dropping the handle does not stop
@@ -366,13 +362,13 @@ fn accept_loop(shared: Arc<NetShared>, listener: Listener) {
 
 fn spawn_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>) {
     let conn_id = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
-    let obs = shared.obs();
-    obs.count_net_conn();
+    let obs = shared.service.obs();
+    obs.net_conns.inc();
     let now_active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-    obs.set_connections_active(now_active);
+    obs.connections_active.set(now_active);
     let retire = |shared: &Arc<NetShared>| {
         let now = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-        shared.obs().set_connections_active(now);
+        shared.service.obs().connections_active.set(now);
     };
     let registered = stream
         .set_read_timeout_stream(Some(Duration::from_millis(POLL_MS)))
@@ -408,7 +404,7 @@ fn spawn_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>) {
 }
 
 fn run_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>, conn_id: u64) {
-    let obs = Arc::clone(shared.obs());
+    let obs = Arc::clone(shared.service.obs());
     let writer_stream = match stream.try_clone_stream() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -431,7 +427,7 @@ fn run_session(shared: &Arc<NetShared>, stream: Box<dyn SessionStream>, conn_id:
         tx,
     };
     if drive(&shared.service, &mut reader, &shared.draining, &mut socket).is_err() {
-        obs.count_net_conn_error();
+        obs.net_conn_errors.inc();
     }
     // Dropping the queue's sender lets the writer flush and exit.
     drop(socket);
@@ -450,7 +446,7 @@ struct CountingReader {
 impl Read for CountingReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.stream.read(buf)?;
-        self.obs.add_net_bytes_in(n as u64);
+        self.obs.net_bytes_in.add(n as u64);
         Ok(n)
     }
 }
@@ -580,12 +576,10 @@ fn serve_requests<R: BufRead>(
             // The timing wraps `handle` only when recording is on, so a
             // metrics-off session takes zero clock reads per request.
             Ok(request) if obs.enabled() => {
-                let verb = request.verb();
+                let verb = request.verb_index();
                 let start_ns = obs.now_ns();
                 let response = service.handle(request);
-                let elapsed = obs.now_ns().saturating_sub(start_ns);
-                obs.record_verb(verb, elapsed);
-                obs.record_net_verb(verb, codec.label(), elapsed);
+                obs.record_latency(verb, *codec, obs.now_ns().saturating_sub(start_ns));
                 response
             }
             Ok(request) => service.handle(request),
@@ -642,7 +636,7 @@ fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: Box<dyn SessionStream>, obs: A
                 // fail, ending it with a typed transport error.
                 return;
             }
-            obs.add_net_bytes_out(pending.len() as u64);
+            obs.net_bytes_out.add(pending.len() as u64);
             match rx.try_recv() {
                 Ok(next) => pending = next,
                 Err(_) => break,

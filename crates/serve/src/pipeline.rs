@@ -314,8 +314,9 @@ pub struct EstimateOutcome {
     /// Whether the estimate exceeded the drift threshold (the key was
     /// marked stale and, if configured, a refresh run was scheduled).
     pub drifted: bool,
-    /// Whether the key was stale when the estimate returned (a drift
-    /// refresh that already landed clears it again).
+    /// Whether the key was stale as of the estimate: always `true` when
+    /// this estimate marked it for a drift refresh, even if that refresh
+    /// has landed since, so the answer does not depend on worker timing.
     pub stale: bool,
 }
 
@@ -568,6 +569,7 @@ impl Service {
         let mse_vs_prior = mean_squared_error(&distribution, entry.prior())
             .expect("estimate and prior share one domain");
         let drifted = mse_vs_prior > self.config().drift_mse_threshold;
+        let mut stale = entry.is_stale();
         if drifted {
             pipeline.drift_events.fetch_add(1, Ordering::SeqCst);
             entry.count_drift_event();
@@ -580,10 +582,13 @@ impl Service {
             // observations schedule exactly one refresh between them —
             // and records *why* the key is stale, so the scheduled run
             // re-optimizes against this posterior instead of the prior.
-            if entry.lifecycle().try_mark_stale(StaleReason::Drift)
-                && self.config().refresh_on_drift
-            {
-                self.schedule_runs(entry, 1);
+            if entry.lifecycle().try_mark_stale(StaleReason::Drift) {
+                // Answer `stale` as of the mark: the refresh scheduled
+                // below may land before this response is built.
+                stale = true;
+                if self.config().refresh_on_drift {
+                    self.schedule_runs(entry, 1);
+                }
             }
         }
         entry.touch(self.now_ms());
@@ -597,7 +602,7 @@ impl Service {
             total_responses: merged.total(),
             batches: merged.batches(),
             drifted,
-            stale: entry.is_stale(),
+            stale,
         })
     }
 

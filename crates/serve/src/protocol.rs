@@ -188,7 +188,8 @@ pub enum Request {
     /// Point-in-time metrics readout: every counter and gauge, plus
     /// per-verb latency histograms (p50/p90/p99 in nanoseconds) and a
     /// Prometheus-style text rendering. Example line: `"Metrics"`.
-    /// Answers with zeroed payloads when the service runs metrics-off.
+    /// Answers `enabled: false` with empty payloads when the service runs
+    /// metrics-off.
     Metrics,
     /// The newest entries of the structured event trace (lifecycle
     /// transitions, refresh runs, drift and coverage trips, evictions,
@@ -203,29 +204,58 @@ pub enum Request {
 }
 
 impl Request {
-    /// The verb's stable lowercase name — the label of its per-verb
-    /// latency histogram (`serve_verb_<verb>_latency_ns`).
-    pub fn verb(&self) -> &'static str {
+    /// Every verb's stable lowercase name, indexed by
+    /// [`Request::verb_index`] — the labels of the per-verb latency
+    /// histograms (`serve_verb_<verb>_latency_ns`).
+    pub const VERBS: [&'static str; 18] = [
+        "register",
+        "register_batch",
+        "best_for_privacy",
+        "best_for_mse",
+        "front",
+        "ingest",
+        "disguise",
+        "estimate",
+        "estimate_all",
+        "save",
+        "load",
+        "evict",
+        "refresh",
+        "sync",
+        "stats",
+        "metrics",
+        "trace",
+        "shutdown",
+    ];
+
+    /// The verb's position in [`Request::VERBS`]: the index of its slot
+    /// in the observability hub's fixed latency-histogram tables.
+    pub fn verb_index(&self) -> usize {
         match self {
-            Request::Register { .. } => "register",
-            Request::RegisterBatch { .. } => "register_batch",
-            Request::BestForPrivacy { .. } => "best_for_privacy",
-            Request::BestForMse { .. } => "best_for_mse",
-            Request::Front { .. } => "front",
-            Request::Ingest { .. } => "ingest",
-            Request::Disguise { .. } => "disguise",
-            Request::Estimate { .. } => "estimate",
-            Request::EstimateAll => "estimate_all",
-            Request::Save { .. } => "save",
-            Request::Load { .. } => "load",
-            Request::Evict { .. } => "evict",
-            Request::Refresh { .. } => "refresh",
-            Request::Sync => "sync",
-            Request::Stats { .. } => "stats",
-            Request::Metrics => "metrics",
-            Request::Trace { .. } => "trace",
-            Request::Shutdown => "shutdown",
+            Request::Register { .. } => 0,
+            Request::RegisterBatch { .. } => 1,
+            Request::BestForPrivacy { .. } => 2,
+            Request::BestForMse { .. } => 3,
+            Request::Front { .. } => 4,
+            Request::Ingest { .. } => 5,
+            Request::Disguise { .. } => 6,
+            Request::Estimate { .. } => 7,
+            Request::EstimateAll => 8,
+            Request::Save { .. } => 9,
+            Request::Load { .. } => 10,
+            Request::Evict { .. } => 11,
+            Request::Refresh { .. } => 12,
+            Request::Sync => 13,
+            Request::Stats { .. } => 14,
+            Request::Metrics => 15,
+            Request::Trace { .. } => 16,
+            Request::Shutdown => 17,
         }
+    }
+
+    /// The verb's stable lowercase name (see [`Request::VERBS`]).
+    pub fn verb(&self) -> &'static str {
+        Self::VERBS[self.verb_index()]
     }
 }
 
@@ -616,9 +646,9 @@ mod tests {
     use super::*;
     use rr::schemes::warner;
 
-    #[test]
-    fn requests_round_trip_through_lines() {
-        let requests = vec![
+    /// At least one request of every variant.
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Register {
                 name: Some("demo".into()),
                 prior: vec![0.4, 0.3, 0.2, 0.1],
@@ -698,8 +728,12 @@ mod tests {
             Request::Trace { limit: Some(50) },
             Request::Trace { limit: None },
             Request::Shutdown,
-        ];
-        for request in requests {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip_through_lines() {
+        for request in sample_requests() {
             let line = encode_request(&request);
             assert!(!line.contains('\n'), "one frame per line: {line}");
             let back = decode_request(&line).unwrap();
@@ -726,6 +760,18 @@ mod tests {
         for (request, verb) in labeled {
             assert_eq!(request.verb(), verb);
         }
+        // Every variant's index maps back to its label, and the variants
+        // fill the histogram tables one slot each.
+        let mut slots = std::collections::HashMap::new();
+        for request in sample_requests() {
+            let index = request.verb_index();
+            assert_eq!(Request::VERBS[index], request.verb());
+            let variant = std::mem::discriminant(&request);
+            assert_eq!(*slots.entry(variant).or_insert(index), index);
+        }
+        let mut indices: Vec<usize> = slots.into_values().collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..Request::VERBS.len()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -51,7 +51,6 @@ use rr::estimate::IterativeConfig;
 use serde::{Deserialize, Serialize};
 use stats::Categorical;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -178,11 +177,12 @@ pub struct ServiceConfig {
     /// (`<path>.key-<fingerprint>.json`) from which the next query
     /// re-warms it bitwise-identically.
     pub snapshot_path: Option<String>,
-    /// Whether the service records observability at all (counters,
-    /// per-verb latency histograms, the event trace). Recording is
-    /// one-way — no metric ever feeds back into request handling — so a
-    /// metrics-on and a metrics-off service answer every non-`Metrics`/
-    /// `Trace` request bitwise-identically (asserted end to end by the
+    /// Whether the service records observability: per-verb latency
+    /// histograms, the event trace and the `Metrics` readout. The
+    /// counters behind `Stats` count either way. Recording is one-way —
+    /// no metric ever feeds back into request handling — so a metrics-on
+    /// and a metrics-off service answer every non-`Metrics`/`Trace`
+    /// request bitwise-identically (asserted end to end by the
     /// invisibility test).
     pub metrics: bool,
     /// Bound on the structured event trace (events, not bytes); 0 keeps
@@ -407,9 +407,6 @@ pub struct Service {
     registry: Registry,
     pool: WorkerPool,
     started: Instant,
-    queries: AtomicU64,
-    warm_hits: AtomicU64,
-    evictions: AtomicU64,
     obs: Arc<ServeObs>,
     /// The live fault injector, when a chaos plan is configured. `None`
     /// in production: every fault site then short-circuits on one branch.
@@ -427,25 +424,16 @@ impl Service {
     /// [`Service::new`] with an injected observability clock, so event
     /// traces are deterministic under test.
     pub fn with_clock(config: ServiceConfig, clock: Arc<dyn Clock>) -> Self {
-        let pool = WorkerPool::new(config.workers);
         let obs = Arc::new(ServeObs::new(config.metrics, config.trace_cap, clock));
-        // Route pool-level panics (jobs that escaped their own
-        // containment — refresh runs catch and account theirs) into the
-        // observability hub instead of a bare stderr line.
-        let pool_obs = Arc::clone(&obs);
-        pool.set_panic_hook(move || pool_obs.count_pool_panic());
         let faults = config
             .faults
             .clone()
             .map(|plan| Arc::new(crate::faults::FaultInjector::new(plan)));
         Self {
+            pool: WorkerPool::new(config.workers),
             config,
             registry: Registry::new(),
-            pool,
             started: Instant::now(),
-            queries: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             obs,
             faults,
         }
@@ -456,8 +444,8 @@ impl Service {
         &self.config
     }
 
-    /// Borrow the observability hub (the `Metrics`/`Trace` verbs, the
-    /// bench, and tests read it; nothing in the service does).
+    /// Borrow the observability hub (the `Stats`/`Metrics`/`Trace`
+    /// verbs, the bench, and tests read it; no request handling does).
     pub fn obs(&self) -> &Arc<ServeObs> {
         &self.obs
     }
@@ -545,7 +533,6 @@ impl Service {
             // pre-eviction Ω and warm-starts from the restored seed chain
             // instead of cold-running into a wiped store.
             self.restore_resident(entry);
-            entry.count_rewarm();
         }
         let run_index = entry.claim_run_index();
         let config = self.run_config(entry, run_index);
@@ -718,12 +705,19 @@ impl Service {
     /// (bitwise-identical restore), by deterministically replaying its
     /// engine-run sequence otherwise (bitwise-identical for
     /// prior-targeted run histories — a replay cannot recover the
-    /// posterior a dropped pipeline once held). Touches only resident
-    /// structures, never the state machine; callers hold a run claim.
+    /// posterior a dropped pipeline once held) — and counts and traces
+    /// the re-warm. Touches only resident structures, never the state
+    /// machine; callers hold a run claim.
     fn restore_resident(self: &Arc<Self>, entry: &Arc<KeyEntry>) -> bool {
-        if self.restore_from_sidecar(entry) {
-            return true;
-        }
+        let restored = self.restore_from_sidecar(entry) || self.replay_runs(entry);
+        entry.count_rewarm();
+        self.obs.emit(ServeEvent::Rewarmed { key: entry.key() });
+        restored
+    }
+
+    /// Replays an evicted key's engine-run sequence into its store;
+    /// `false` when a replayed run fails.
+    fn replay_runs(&self, entry: &KeyEntry) -> bool {
         let runs = entry.engine_runs().max(1);
         let mut seeds = Vec::new();
         let mut replayed = true;
@@ -762,8 +756,6 @@ impl Service {
             degrade: false,
         };
         guard.landed = self.restore_resident(entry);
-        entry.count_rewarm();
-        self.obs.emit(ServeEvent::Rewarmed { key: entry.key() });
         entry.touch(self.now_ms());
         // As in run_refresh: budget holds before any waiter wakes.
         self.enforce_memory(entry.key());
@@ -929,13 +921,12 @@ impl Service {
         self.ensure_live(entry);
         entry.count_query();
         entry.touch(self.now_ms());
-        self.queries.fetch_add(1, Ordering::SeqCst);
+        // The hottest instrumentation site: at most two relaxed
+        // increments, no trace event, no timestamp.
+        self.obs.queries.inc();
         if was_warm {
-            self.warm_hits.fetch_add(1, Ordering::SeqCst);
+            self.obs.warm_hits.inc();
         }
-        // The hottest instrumentation site: one branch plus at most two
-        // relaxed increments, no trace event, no timestamp.
-        self.obs.count_query(was_warm);
     }
 
     /// Counts a coverage miss — a point query no stored matrix satisfied —
@@ -943,7 +934,7 @@ impl Service {
     /// schedules one refresh (the query-shape staleness trigger).
     fn note_coverage_miss(self: &Arc<Self>, entry: &Arc<KeyEntry>) {
         let misses = entry.count_coverage_miss();
-        self.obs.count_coverage_miss();
+        self.obs.coverage_misses.inc();
         let threshold = self.config.coverage_miss_threshold;
         if threshold > 0
             && misses >= threshold
@@ -1032,7 +1023,7 @@ impl Service {
             return None;
         }
         if let Some(base) = &self.config.snapshot_path {
-            let snapshot = self.key_snapshot(entry);
+            let snapshot = Self::key_snapshot(entry, self.registry.names_of(entry.key()));
             let path = Self::sidecar_path(base, entry.key());
             let encoded = serde_json::to_string(&snapshot).expect("snapshots serialize");
             if let Err(error) = self.write_snapshot_file(&path, &encoded) {
@@ -1043,7 +1034,6 @@ impl Service {
             }
         }
         let freed = entry.drop_resident_state();
-        self.evictions.fetch_add(1, Ordering::SeqCst);
         self.obs.emit(ServeEvent::Evicted {
             key: entry.key(),
             bytes_freed: freed,
@@ -1287,8 +1277,8 @@ impl Service {
         (
             self.registry.len(),
             engine_runs,
-            self.queries.load(Ordering::SeqCst),
-            self.warm_hits.load(Ordering::SeqCst),
+            self.obs.queries.get(),
+            self.obs.warm_hits.get(),
         )
     }
 
@@ -1298,19 +1288,20 @@ impl Service {
         (
             self.registry.resident_bytes(),
             self.config.memory_budget_bytes,
-            self.evictions.load(Ordering::SeqCst),
+            self.obs.events.evictions.get(),
         )
     }
 
-    /// One key's snapshot, including its pinned pipeline when any.
-    fn key_snapshot(&self, entry: &KeyEntry) -> KeySnapshot {
+    /// One key's snapshot under its aliases, including its pinned
+    /// pipeline when any.
+    fn key_snapshot(entry: &KeyEntry, names: Vec<String>) -> KeySnapshot {
         KeySnapshot {
             prior: entry.prior().probs().to_vec(),
             delta: entry.delta(),
             slots: entry.num_slots(),
             engine_runs: entry.engine_runs(),
             drift_events: Some(entry.drift_events()),
-            names: self.registry.names_of(entry.key()),
+            names,
             omega: entry.store().merge(),
             warm_seeds: Some(entry.take_warm_seeds()),
             pipeline: entry.pipeline().map(|p| p.snapshot()),
@@ -1329,17 +1320,7 @@ impl Service {
         ServiceSnapshot {
             keys: entries
                 .iter()
-                .map(|entry| KeySnapshot {
-                    prior: entry.prior().probs().to_vec(),
-                    delta: entry.delta(),
-                    slots: entry.num_slots(),
-                    engine_runs: entry.engine_runs(),
-                    drift_events: Some(entry.drift_events()),
-                    names: names.remove(&entry.key()).unwrap_or_default(),
-                    omega: entry.store().merge(),
-                    warm_seeds: Some(entry.take_warm_seeds()),
-                    pipeline: entry.pipeline().map(|p| p.snapshot()),
-                })
+                .map(|e| Self::key_snapshot(e, names.remove(&e.key()).unwrap_or_default()))
                 .collect(),
         }
     }
@@ -1541,6 +1522,32 @@ impl Service {
         entry.state().is_degraded()
     }
 
+    /// The answer to a point query: the found matrix, or `NoMatch` with
+    /// the query's reason.
+    fn matrix_response(
+        &self,
+        entry: &KeyEntry,
+        found: Option<optrr::OmegaEntry>,
+        reason: impl FnOnce() -> String,
+    ) -> Response {
+        let degraded = self.degraded_flag(entry);
+        match found {
+            Some(found) => Response::Matrix {
+                key: entry.key(),
+                privacy: found.evaluation.privacy,
+                mse: found.evaluation.mse,
+                max_posterior: found.evaluation.max_posterior,
+                matrix: MatrixDto::from_matrix(&found.matrix),
+                degraded,
+            },
+            None => Response::NoMatch {
+                key: entry.key(),
+                reason: reason(),
+                degraded,
+            },
+        }
+    }
+
     /// Handles one protocol request, mapping library errors to
     /// [`Response::Error`] with the stable [`ServeError::code`] taxonomy.
     pub fn handle(self: &Arc<Self>, request: Request) -> Response {
@@ -1590,39 +1597,17 @@ impl Service {
                 min_privacy,
             } => {
                 let entry = self.resolve(key, name.as_deref())?;
-                match self.best_for_privacy(&entry, min_privacy) {
-                    Some(found) => Response::Matrix {
-                        key: entry.key(),
-                        privacy: found.evaluation.privacy,
-                        mse: found.evaluation.mse,
-                        max_posterior: found.evaluation.max_posterior,
-                        matrix: MatrixDto::from_matrix(&found.matrix),
-                        degraded: self.degraded_flag(&entry),
-                    },
-                    None => Response::NoMatch {
-                        key: entry.key(),
-                        reason: format!("no stored matrix with privacy >= {min_privacy}"),
-                        degraded: self.degraded_flag(&entry),
-                    },
-                }
+                let found = self.best_for_privacy(&entry, min_privacy);
+                self.matrix_response(&entry, found, || {
+                    format!("no stored matrix with privacy >= {min_privacy}")
+                })
             }
             Request::BestForMse { key, name, max_mse } => {
                 let entry = self.resolve(key, name.as_deref())?;
-                match self.best_for_mse(&entry, max_mse) {
-                    Some(found) => Response::Matrix {
-                        key: entry.key(),
-                        privacy: found.evaluation.privacy,
-                        mse: found.evaluation.mse,
-                        max_posterior: found.evaluation.max_posterior,
-                        matrix: MatrixDto::from_matrix(&found.matrix),
-                        degraded: self.degraded_flag(&entry),
-                    },
-                    None => Response::NoMatch {
-                        key: entry.key(),
-                        reason: format!("no stored matrix with mse <= {max_mse}"),
-                        degraded: self.degraded_flag(&entry),
-                    },
-                }
+                let found = self.best_for_mse(&entry, max_mse);
+                self.matrix_response(&entry, found, || {
+                    format!("no stored matrix with mse <= {max_mse}")
+                })
             }
             Request::Front { key, name } => {
                 let entry = self.resolve(key, name.as_deref())?;
@@ -1772,7 +1757,7 @@ impl Service {
             Request::Trace { limit } => {
                 let (entries, dropped) = self.obs.trace_snapshot(limit);
                 Response::Trace {
-                    enabled: self.obs.enabled() && self.obs.trace_capacity() > 0,
+                    enabled: self.obs.trace_capacity() > 0,
                     dropped,
                     events: entries
                         .into_iter()
@@ -1796,18 +1781,18 @@ impl Service {
 
     /// Answers the `Metrics` verb: refreshes the point-in-time gauges
     /// (registered keys, resident bytes, worker-pool totals), then ships
-    /// one snapshot as DTOs plus its Prometheus-style rendering.
+    /// one snapshot as DTOs plus its Prometheus-style rendering — both
+    /// empty when the service runs metrics-off.
     fn metrics_response(&self) -> Response {
-        self.obs
-            .set_gauge("serve_registered_keys", self.registry.len() as u64);
-        self.obs
-            .set_gauge("serve_resident_bytes", self.registry.resident_bytes());
-        self.obs
-            .set_gauge("serve_worker_jobs_submitted", self.pool.jobs_submitted());
-        self.obs
-            .set_gauge("serve_worker_jobs_executed", self.pool.jobs_executed());
-        self.obs
-            .set_gauge("serve_worker_jobs_panicked", self.pool.jobs_panicked());
+        for (name, value) in [
+            ("serve_registered_keys", self.registry.len() as u64),
+            ("serve_resident_bytes", self.registry.resident_bytes()),
+            ("serve_worker_jobs_submitted", self.pool.jobs_submitted()),
+            ("serve_worker_jobs_executed", self.pool.jobs_executed()),
+            ("serve_worker_jobs_panicked", self.pool.jobs_panicked()),
+        ] {
+            self.obs.registry.gauge(name).set(value);
+        }
         let snapshot = self.obs.metrics_snapshot();
         let value_dto = |(name, value): (String, u64)| MetricValueDto { name, value };
         Response::Metrics {
@@ -2133,6 +2118,12 @@ mod tests {
         assert_eq!(entry.state(), KeyState::Warm);
         assert_eq!(entry.engine_runs(), 2, "restore replays, refresh claims");
         assert_eq!(entry.rewarms(), 1);
+        // The service-wide total and the trace see the same re-warm.
+        let metrics = service.obs().render_prometheus();
+        assert!(metrics.contains("serve_rewarms_total 1\n"), "{metrics}");
+        let (events, _) = service.obs().trace_snapshot(None);
+        let rewarmed = events.iter().filter(|e| e.event.kind() == "rewarmed");
+        assert_eq!(rewarmed.count(), 1);
 
         // Bitwise-identical (slot for slot) to a never-evicted service
         // doing the same register + refresh.

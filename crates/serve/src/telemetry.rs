@@ -16,13 +16,19 @@
 //! metrics off produce bitwise-identical responses, Ω stores, and
 //! posteriors.
 //!
-//! When constructed disabled, every recording entry point returns before
-//! touching an atomic, so the disabled service pays one predictable
-//! branch per instrumentation site.
+//! The counters are pre-resolved handles that call sites bump directly,
+//! and they count whether or not recording is enabled: the service's
+//! `Stats` answer reads them. A disabled hub skips only what costs more
+//! than a relaxed increment — the per-request clock reads, the lifecycle
+//! and generation hooks, the trace — and reads out empty.
 
 use crate::lifecycle::{KeyState, TransitionSink};
-use obs::{Clock, Counter, MetricsRegistry, MetricsSnapshot, TraceEntry, TraceRing};
-use std::sync::Arc;
+use crate::protocol::Request;
+use crate::wire::Codec;
+use obs::{
+    Clock, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, TraceEntry, TraceRing,
+};
+use std::sync::{Arc, OnceLock};
 
 /// Default bound on the structured event trace (events, not bytes).
 /// Overridable via `OPTRR_SERVE_TRACE_CAP`; 0 disables tracing while
@@ -285,13 +291,13 @@ impl ServeEvent {
 /// stack maintains. Grouped so [`ServeObs::emit`] can bump the matching
 /// total without a registry lookup.
 #[derive(Debug)]
-struct EventCounters {
+pub(crate) struct EventCounters {
     transitions: Arc<Counter>,
     refresh_runs: Arc<Counter>,
     generations: Arc<Counter>,
     drift_trips: Arc<Counter>,
     coverage_trips: Arc<Counter>,
-    evictions: Arc<Counter>,
+    pub(crate) evictions: Arc<Counter>,
     rewarms: Arc<Counter>,
     ingest_batches: Arc<Counter>,
     ingest_records: Arc<Counter>,
@@ -304,37 +310,55 @@ struct EventCounters {
     snapshot_load_failures: Arc<Counter>,
 }
 
-/// Pre-resolved handles for the network front door's totals
-/// (`serve::net`): connection and byte counters are on the per-request
-/// hot path, so they must not pay a registry lookup per event.
-#[derive(Debug)]
-struct NetCounters {
-    conns: Arc<Counter>,
-    conn_errors: Arc<Counter>,
-    bytes_in: Arc<Counter>,
-    bytes_out: Arc<Counter>,
-}
+/// One latency-histogram slot per protocol verb ([`Request::verb_index`]),
+/// registered under its metric name on the slot's first record so the
+/// readout lists only the verbs a service has handled.
+type VerbSlots<T> = [T; Request::VERBS.len()];
 
-/// The service's observability hub: a metric registry, the per-verb
-/// latency histograms, and the bounded event trace, behind one enabled
-/// flag and one injectable clock.
+/// The service's observability hub: a metric registry of pre-resolved
+/// handles, the per-verb latency tables, and the bounded event trace,
+/// behind one enabled flag and one injectable clock.
+///
+/// The handles always count — the service's `Stats` answer reads
+/// `queries`, `warm_hits` and `serve_evictions_total` from them — and
+/// call sites bump them directly. `enabled` gates only what costs more
+/// than a relaxed increment: the session driver's clock reads, the
+/// transition and generation hooks, the trace (capacity 0 when off),
+/// and the readouts, which are empty when off.
 #[derive(Debug)]
 pub struct ServeObs {
     enabled: bool,
     clock: Arc<dyn Clock>,
-    registry: MetricsRegistry,
+    pub(crate) registry: MetricsRegistry,
     trace: TraceRing<ServeEvent>,
-    events: EventCounters,
-    queries: Arc<Counter>,
-    warm_hits: Arc<Counter>,
-    coverage_misses: Arc<Counter>,
-    net: NetCounters,
+    pub(crate) events: EventCounters,
+    /// `serve_queries_total`: point and front queries served.
+    pub queries: Arc<Counter>,
+    /// `serve_warm_hits_total`: queries answered without waiting.
+    pub warm_hits: Arc<Counter>,
+    /// `serve_coverage_misses_total`: point queries that matched no
+    /// stored matrix (threshold trips emit [`ServeEvent::CoverageTrip`]).
+    pub coverage_misses: Arc<Counter>,
+    /// `serve_net_conns_total`: accepted network connections.
+    pub net_conns: Arc<Counter>,
+    /// `serve_net_conn_errors_total`: network sessions that ended on a
+    /// transport error (a torn frame, a failed checksum, a hang-up).
+    pub net_conn_errors: Arc<Counter>,
+    /// `serve_net_bytes_in_total`: request bytes read off sockets.
+    pub net_bytes_in: Arc<Counter>,
+    /// `serve_net_bytes_out_total`: response bytes written to sockets.
+    pub net_bytes_out: Arc<Counter>,
+    /// `serve_connections_active`: network sessions being served.
+    pub connections_active: Arc<Gauge>,
+    verb_latency: VerbSlots<OnceLock<Arc<Histogram>>>,
+    // Indexed by verb, then by `Codec as usize` (JSON, binary).
+    net_verb_latency: VerbSlots<[OnceLock<Arc<Histogram>>; 2]>,
 }
 
 impl ServeObs {
-    /// Builds the hub. `enabled = false` turns every recording entry
-    /// point into a branch-and-return; `trace_cap = 0` disables the
-    /// event trace while keeping counters and histograms live.
+    /// Builds the hub. `enabled = false` keeps the counters live but
+    /// attaches no hooks, traces nothing, and reads out empty;
+    /// `trace_cap = 0` disables only the event trace.
     pub fn new(enabled: bool, trace_cap: usize, clock: Arc<dyn Clock>) -> Self {
         let registry = MetricsRegistry::new();
         let events = EventCounters {
@@ -355,30 +379,27 @@ impl ServeObs {
             degraded: registry.counter("serve_degraded_total"),
             snapshot_load_failures: registry.counter("serve_snapshot_load_failures_total"),
         };
-        let queries = registry.counter("serve_queries_total");
-        let warm_hits = registry.counter("serve_warm_hits_total");
-        let coverage_misses = registry.counter("serve_coverage_misses_total");
-        let net = NetCounters {
-            conns: registry.counter("serve_net_conns_total"),
-            conn_errors: registry.counter("serve_net_conn_errors_total"),
-            bytes_in: registry.counter("serve_net_bytes_in_total"),
-            bytes_out: registry.counter("serve_net_bytes_out_total"),
-        };
         Self {
             enabled,
             trace: TraceRing::new(if enabled { trace_cap } else { 0 }, Arc::clone(&clock)),
             clock,
-            registry,
             events,
-            queries,
-            warm_hits,
-            coverage_misses,
-            net,
+            queries: registry.counter("serve_queries_total"),
+            warm_hits: registry.counter("serve_warm_hits_total"),
+            coverage_misses: registry.counter("serve_coverage_misses_total"),
+            net_conns: registry.counter("serve_net_conns_total"),
+            net_conn_errors: registry.counter("serve_net_conn_errors_total"),
+            net_bytes_in: registry.counter("serve_net_bytes_in_total"),
+            net_bytes_out: registry.counter("serve_net_bytes_out_total"),
+            connections_active: registry.gauge("serve_connections_active"),
+            registry,
+            verb_latency: Default::default(),
+            net_verb_latency: Default::default(),
         }
     }
 
-    /// Whether recording is on. The hot paths branch on this before
-    /// touching any atomic.
+    /// Whether recording is on: the session driver reads the clock, and
+    /// hooks, trace and readouts work, only when it is.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -397,9 +418,6 @@ impl ServeObs {
     /// Records one structured event: bumps the variant's total and
     /// appends to the trace ring.
     pub fn emit(&self, event: ServeEvent) {
-        if !self.enabled {
-            return;
-        }
         match &event {
             ServeEvent::Transition { .. } => self.events.transitions.inc(),
             ServeEvent::RefreshRun { .. } => self.events.refresh_runs.inc(),
@@ -423,120 +441,21 @@ impl ServeObs {
         self.trace.push(event);
     }
 
-    /// Counts one point query (the hottest instrumentation site: two
-    /// relaxed increments, no trace event, no timestamp).
-    pub fn count_query(&self, warm_hit: bool) {
-        if !self.enabled {
-            return;
-        }
-        self.queries.inc();
-        if warm_hit {
-            self.warm_hits.inc();
-        }
-    }
-
-    /// Counts one coverage miss (threshold trips emit a
-    /// [`ServeEvent::CoverageTrip`] separately).
-    pub fn count_coverage_miss(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.coverage_misses.inc();
-    }
-
-    /// Counts one job panic that escaped all the way to the worker pool
-    /// (`serve_worker_pool_panics_total`). Refresh runs contain their own
-    /// panics and report them as typed [`ServeEvent::RefreshFailed`]
-    /// events with key and run context; a panic landing here came from a
-    /// job with no key context left to attach.
-    pub fn count_pool_panic(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.registry
-            .counter("serve_worker_pool_panics_total")
-            .inc();
-    }
-
-    /// Records one handled protocol verb into its per-verb latency
-    /// histogram (`serve_verb_<verb>_latency_ns`).
-    pub fn record_verb(&self, verb: &str, nanos: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.registry
-            .histogram(&format!("serve_verb_{verb}_latency_ns"))
+    /// Records one handled request's latency into its per-verb histogram
+    /// (`serve_verb_<verb>_latency_ns`) and its per-codec one
+    /// (`serve_net_verb_<verb>_<codec>_latency_ns`). `verb` is a
+    /// [`Request::verb_index`]; only a slot's first record formats a name
+    /// and takes the registry lock.
+    pub fn record_latency(&self, verb: usize, codec: Codec, nanos: u64) {
+        let label = Request::VERBS[verb];
+        let resolve = |name: String| self.registry.histogram(&name);
+        self.verb_latency[verb]
+            .get_or_init(|| resolve(format!("serve_verb_{label}_latency_ns")))
             .record(nanos);
-    }
-
-    /// Counts one accepted network connection
-    /// (`serve_net_conns_total`).
-    pub fn count_net_conn(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.net.conns.inc();
-    }
-
-    /// Counts one network session that ended on a transport error — a
-    /// torn frame, a failed checksum, an abrupt client disconnect
-    /// (`serve_net_conn_errors_total`).
-    pub fn count_net_conn_error(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.net.conn_errors.inc();
-    }
-
-    /// Adds request bytes read off a network connection
-    /// (`serve_net_bytes_in_total`).
-    pub fn add_net_bytes_in(&self, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.net.bytes_in.add(bytes);
-    }
-
-    /// Adds response bytes written to a network connection
-    /// (`serve_net_bytes_out_total`).
-    pub fn add_net_bytes_out(&self, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.net.bytes_out.add(bytes);
-    }
-
-    /// Overwrites the `serve_connections_active` gauge. The net server
-    /// tracks the live count in its own atomic (the gauge type is
-    /// set-only) and mirrors it here on every open and close.
-    pub fn set_connections_active(&self, count: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.registry.gauge("serve_connections_active").set(count);
-    }
-
-    /// Records one network-handled verb into its per-codec latency
-    /// histogram (`serve_net_verb_<verb>_<codec>_latency_ns`), beside
-    /// the codec-agnostic [`ServeObs::record_verb`] histogram the
-    /// session also feeds.
-    pub fn record_net_verb(&self, verb: &str, codec: &str, nanos: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.registry
-            .histogram(&format!("serve_net_verb_{verb}_{codec}_latency_ns"))
+        let codec_label = codec.label();
+        self.net_verb_latency[verb][codec as usize]
+            .get_or_init(|| resolve(format!("serve_net_verb_{label}_{codec_label}_latency_ns")))
             .record(nanos);
-    }
-
-    /// Overwrites a point-in-time gauge (registered keys, resident
-    /// bytes, worker totals) — called when the `Metrics` verb reads out,
-    /// not on the hot path.
-    pub fn set_gauge(&self, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.registry.gauge(name).set(value);
     }
 
     /// A per-key lifecycle sink for
@@ -545,13 +464,10 @@ impl ServeObs {
     /// when recording is off, so disabled services attach no hook at
     /// all.
     pub fn transition_sink(self: &Arc<Self>, key: u64) -> Option<TransitionSink> {
-        if !self.enabled {
-            return None;
-        }
-        let hub = Arc::clone(self);
-        Some(Arc::new(move |from, to| {
-            hub.emit(ServeEvent::Transition { key, from, to });
-        }))
+        self.enabled.then(|| -> TransitionSink {
+            let hub = Arc::clone(self);
+            Arc::new(move |from, to| hub.emit(ServeEvent::Transition { key, from, to }))
+        })
     }
 
     /// A generation hook for the core optimizer: per-generation engine
@@ -559,29 +475,38 @@ impl ServeObs {
     /// refresh runs. `None` when recording is off, so disabled services
     /// run the engine with no observer attached.
     pub fn generation_observer(self: &Arc<Self>, key: u64) -> Option<optrr::GenerationObserver> {
-        if !self.enabled {
-            return None;
-        }
-        let hub = Arc::clone(self);
-        Some(Arc::new(move |g: &optrr::GenerationObservation| {
-            hub.emit(ServeEvent::Generation {
-                key,
-                generation: g.generation as u64,
-                archive: g.archive_size as u64,
-                evaluations: g.evaluations as u64,
-                improved: g.omega_improved,
-            });
-        }))
+        self.enabled.then(|| -> optrr::GenerationObserver {
+            let hub = Arc::clone(self);
+            Arc::new(move |g: &optrr::GenerationObservation| {
+                hub.emit(ServeEvent::Generation {
+                    key,
+                    generation: g.generation as u64,
+                    archive: g.archive_size as u64,
+                    evaluations: g.evaluations as u64,
+                    improved: g.omega_improved,
+                });
+            })
+        })
     }
 
-    /// A point-in-time copy of every counter, gauge, and histogram.
+    /// A point-in-time copy of every counter, gauge, and histogram —
+    /// empty when recording is off.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        if self.enabled {
+            self.registry.snapshot()
+        } else {
+            MetricsSnapshot::default()
+        }
     }
 
-    /// Prometheus-style text exposition of the same snapshot.
+    /// Prometheus-style text exposition of the same snapshot — empty
+    /// when recording is off.
     pub fn render_prometheus(&self) -> String {
-        self.registry.render_prometheus()
+        if self.enabled {
+            self.registry.render_prometheus()
+        } else {
+            String::new()
+        }
     }
 
     /// The newest `limit` trace entries (all when `None`) plus how many
@@ -599,6 +524,11 @@ mod tests {
 
     fn hub(enabled: bool) -> Arc<ServeObs> {
         Arc::new(ServeObs::new(enabled, 8, Arc::new(ManualClock::new(0))))
+    }
+
+    /// The histogram-table index of a verb label.
+    fn verb(label: &str) -> usize {
+        Request::VERBS.iter().position(|v| *v == label).unwrap()
     }
 
     #[test]
@@ -639,13 +569,18 @@ mod tests {
     fn disabled_hub_records_nothing_and_hands_out_no_hooks() {
         let hub = hub(false);
         hub.emit(ServeEvent::Rewarmed { key: 1 });
-        hub.count_query(true);
-        hub.count_coverage_miss();
-        hub.record_verb("estimate", 125);
-        hub.set_gauge("serve_registered_keys", 3);
+        hub.queries.inc();
+        hub.warm_hits.inc();
+        hub.coverage_misses.inc();
+        hub.record_latency(verb("estimate"), Codec::Json, 125);
+        hub.registry.gauge("serve_registered_keys").set(3);
         let snap = hub.metrics_snapshot();
         assert!(snap.counters.iter().all(|(_, v)| *v == 0));
         assert!(snap.histograms.is_empty());
+        assert!(hub.render_prometheus().is_empty());
+        // The handles still count: `Stats` reads them with metrics off.
+        assert_eq!(hub.queries.get(), 1);
+        assert_eq!(hub.events.rewarms.get(), 1);
         assert!(hub.trace_snapshot(None).0.is_empty());
         assert!(hub.transition_sink(1).is_none());
         assert!(hub.generation_observer(1).is_none());
@@ -655,20 +590,25 @@ mod tests {
     #[test]
     fn verb_histograms_register_per_verb_and_record() {
         let hub = hub(true);
-        hub.record_verb("estimate", 100);
-        hub.record_verb("estimate", 200);
-        hub.record_verb("query", 50);
+        hub.record_latency(verb("estimate"), Codec::Json, 100);
+        hub.record_latency(verb("estimate"), Codec::Binary, 200);
+        hub.record_latency(verb("stats"), Codec::Json, 50);
         let snap = hub.metrics_snapshot();
-        let names: Vec<&str> = snap.histograms.iter().map(|h| h.name.as_str()).collect();
+        let per_verb: Vec<_> = snap
+            .histograms
+            .iter()
+            .filter(|h| h.name.starts_with("serve_verb_"))
+            .collect();
+        let names: Vec<&str> = per_verb.iter().map(|h| h.name.as_str()).collect();
         assert_eq!(
             names,
             vec![
                 "serve_verb_estimate_latency_ns",
-                "serve_verb_query_latency_ns"
+                "serve_verb_stats_latency_ns"
             ]
         );
-        assert_eq!(snap.histograms[0].count, 2);
-        assert_eq!(snap.histograms[1].count, 1);
+        assert_eq!(per_verb[0].count, 2);
+        assert_eq!(per_verb[1].count, 1);
     }
 
     #[test]
@@ -767,15 +707,15 @@ mod tests {
     #[test]
     fn net_counters_gauge_and_per_codec_histograms_record() {
         let hub = hub(true);
-        hub.count_net_conn();
-        hub.count_net_conn();
-        hub.count_net_conn_error();
-        hub.add_net_bytes_in(128);
-        hub.add_net_bytes_out(512);
-        hub.set_connections_active(2);
-        hub.record_net_verb("ingest", "binary", 1_000);
-        hub.record_net_verb("ingest", "json", 3_000);
-        hub.record_net_verb("best_for_privacy", "binary", 500);
+        hub.net_conns.inc();
+        hub.net_conns.inc();
+        hub.net_conn_errors.inc();
+        hub.net_bytes_in.add(128);
+        hub.net_bytes_out.add(512);
+        hub.connections_active.set(2);
+        hub.record_latency(verb("ingest"), Codec::Binary, 1_000);
+        hub.record_latency(verb("ingest"), Codec::Json, 3_000);
+        hub.record_latency(verb("best_for_privacy"), Codec::Binary, 500);
         let snap = hub.metrics_snapshot();
         let counter = |name: &str| {
             snap.counters
@@ -799,12 +739,12 @@ mod tests {
         assert!(names.contains(&"serve_net_verb_ingest_json_latency_ns"));
         assert!(names.contains(&"serve_net_verb_best_for_privacy_binary_latency_ns"));
 
-        // Disabled hubs record none of it.
+        // Disabled hubs read out none of it.
         let quiet = hub_disabled();
-        quiet.count_net_conn();
-        quiet.add_net_bytes_in(1);
-        quiet.set_connections_active(9);
-        quiet.record_net_verb("ingest", "binary", 1);
+        quiet.net_conns.inc();
+        quiet.net_bytes_in.add(1);
+        quiet.connections_active.set(9);
+        quiet.record_latency(verb("ingest"), Codec::Binary, 1);
         let snap = quiet.metrics_snapshot();
         assert!(snap.counters.iter().all(|(_, v)| *v == 0));
         assert!(snap

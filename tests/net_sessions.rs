@@ -710,3 +710,98 @@ fn a_newline_free_tail_that_decodes_is_a_sockets_last_request() {
     server.request_drain();
     server.wait();
 }
+
+#[test]
+fn socket_sessions_fill_the_per_verb_and_per_codec_latency_tables() {
+    let service = Arc::new(Service::new(ServiceConfig::smoke(53)));
+    let base = NetConfig::new(ListenAddr::Tcp("127.0.0.1:0".parse().unwrap()));
+    let server = NetServer::start(Arc::clone(&service), base).unwrap();
+    let addr = server.listen_addr();
+    let best_for_privacy = || Request::BestForPrivacy {
+        key: None,
+        name: Some("mix".into()),
+        min_privacy: 0.05,
+    };
+    let json_mix = [
+        register_request("mix"),
+        ingest_request("mix", vec![0, 1, 2, 3, 4, 0], 3),
+        ingest_request("mix", vec![4, 3, 2, 1, 0, 0], 4),
+        best_for_privacy(),
+        best_for_privacy(),
+        best_for_privacy(),
+        Request::Stats {
+            key: None,
+            name: None,
+        },
+    ];
+    let binary_mix = [
+        best_for_privacy(),
+        best_for_privacy(),
+        Request::BestForMse {
+            key: None,
+            name: Some("mix".into()),
+            max_mse: 1.0,
+        },
+        Request::Front {
+            key: None,
+            name: Some("mix".into()),
+        },
+        ingest_request("mix", vec![1, 1, 2], 5),
+    ];
+    let mut sent = std::collections::BTreeMap::<(&str, &str), u64>::new();
+    for (codec, mix) in [
+        (Codec::Json, &json_mix[..]),
+        (Codec::Binary, &binary_mix[..]),
+    ] {
+        let mut client = NetClient::connect(&addr, codec).unwrap();
+        for request in mix {
+            let response = client.request(request).unwrap();
+            assert!(!matches!(response, Response::Error { .. }), "{response:?}");
+            *sent.entry((request.verb(), codec.label())).or_default() += 1;
+        }
+    }
+    // Drain joins every session and writer thread, so the byte counters
+    // are final before the readout.
+    server.request_drain();
+    server.wait();
+
+    let snapshot = service.obs().metrics_snapshot();
+    let count = |name: &str| snapshot.histograms.iter().find(|h| h.name == name);
+    let per_codec: Vec<&str> = snapshot
+        .histograms
+        .iter()
+        .map(|h| h.name.as_str())
+        .filter(|name| name.starts_with("serve_net_verb_"))
+        .collect();
+    assert_eq!(per_codec.len(), sent.len(), "{per_codec:?}");
+    for (&(verb, codec), &requests) in &sent {
+        let name = format!("serve_net_verb_{verb}_{codec}_latency_ns");
+        assert_eq!(count(&name).map(|h| h.count), Some(requests), "{name}");
+    }
+    for verb in Request::VERBS {
+        let total: u64 = sent
+            .iter()
+            .filter(|((v, _), _)| *v == verb)
+            .map(|(_, n)| n)
+            .sum();
+        let name = format!("serve_verb_{verb}_latency_ns");
+        assert_eq!(count(&name).map_or(0, |h| h.count), total, "{name}");
+    }
+    let counter = |name: &str| {
+        let found = snapshot.counters.iter().find(|(n, _)| n == name);
+        found
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("missing {name}"))
+    };
+    assert_eq!(counter("serve_net_conns_total"), 2);
+    assert!(counter("serve_net_bytes_in_total") > 0);
+    assert!(counter("serve_net_bytes_out_total") > 0);
+    let Response::ServiceStats { queries, .. } = service.handle(Request::Stats {
+        key: None,
+        name: None,
+    }) else {
+        panic!("expected ServiceStats");
+    };
+    assert!(queries > 0);
+    assert_eq!(queries, counter("serve_queries_total"));
+}
